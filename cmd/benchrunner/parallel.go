@@ -16,11 +16,11 @@ import (
 )
 
 // printParallel measures the PR6 execution work: morsel-driven batched
-// operators (seq scan + filter, hash aggregation, hash join) against the
-// row-at-a-time baseline, disjoint-table writer throughput under the
-// per-table lock manager against the old single-writeMu behavior, and the
-// hot-row conflict bench with exponential-backoff retries. Results land in
-// BENCH_PR6.json.
+// operators (seq scan + filter, hash aggregation, hash join) at four workers
+// against the same operators at one worker, disjoint-table writer throughput
+// and point-writer latency beside a bulk writer under the per-table lock
+// manager, and the hot-row conflict bench with exponential-backoff retries.
+// Results land in BENCH_PR6.json.
 func printParallel() error {
 	header("Engine — parallel batched execution + sharded write locks")
 
@@ -37,7 +37,9 @@ func printParallel() error {
 		return ns
 	}
 
-	// --- Read side: batched operators vs row-at-a-time ---
+	// --- Read side: batched operators at four workers vs one worker. The
+	// baseline is the same batched executor, one worker: parallelism is
+	// engine-wide, so the engine is reconfigured between the two runs. ---
 	const bigRows = 40000
 	const workers = 4
 	e := sqldb.NewEngine("parallel")
@@ -62,17 +64,15 @@ func printParallel() error {
 	}
 	s.MustExec("INSERT INTO dim VALUES " + strings.Join(dims, ", "))
 
-	seq := e.NewSession("root")
-	seq.SetParallel(false)
-
-	benchStmt := func(sess *sqldb.Session, sql string) testing.BenchmarkResult {
+	benchStmt := func(w int, sql string) testing.BenchmarkResult {
 		stmt, err := sqldb.Parse(sql)
 		if err != nil {
 			panic(err)
 		}
+		e.SetParallelism(w, 1024)
 		return testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sess.ExecStmt(stmt); err != nil {
+				if _, err := s.ExecStmt(stmt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -85,32 +85,31 @@ func printParallel() error {
 		joinQ  = "SELECT COUNT(*) FROM big JOIN dim ON big.grp = dim.id WHERE big.val < 5000.0"
 	)
 	fmt.Println(s.MustExec("EXPLAIN " + scanQ).Text())
-	scanPar := report("ParallelSeqScan", benchStmt(s, scanQ))
-	scanSeq := report("SeqScanBaseline", benchStmt(seq, scanQ))
-	groupPar := report("ParallelGroupBy", benchStmt(s, groupQ))
-	groupSeq := report("GroupByBaseline", benchStmt(seq, groupQ))
-	joinPar := report("ParallelHashJoin", benchStmt(s, joinQ))
-	joinSeq := report("HashJoinBaseline", benchStmt(seq, joinQ))
-	fmt.Printf("\nbatched speedups at %d workers: seq scan %.2fx, group by %.2fx, hash join %.2fx\n",
+	scanPar := report("ParallelSeqScan", benchStmt(workers, scanQ))
+	scanSeq := report("SeqScanBaseline", benchStmt(1, scanQ))
+	groupPar := report("ParallelGroupBy", benchStmt(workers, groupQ))
+	groupSeq := report("GroupByBaseline", benchStmt(1, groupQ))
+	joinPar := report("ParallelHashJoin", benchStmt(workers, joinQ))
+	joinSeq := report("HashJoinBaseline", benchStmt(1, joinQ))
+	fmt.Printf("\nspeedups at %d workers over one worker: seq scan %.2fx, group by %.2fx, hash join %.2fx\n",
 		workers, scanSeq/scanPar, groupSeq/groupPar, joinSeq/joinPar)
 
 	// Release the 40k-row read-side engine before the write benches; a live
 	// multi-megabyte heap skews whichever bench runs first.
-	e, s, seq = nil, nil, nil
+	e, s = nil, nil
 	runtime.GC()
 
-	// --- Write side: disjoint-table writers, per-table locks vs global.
+	// --- Write side: disjoint-table writers under per-table locks.
 	// Each writer cycles over a small set of point updates on its own table,
 	// so statements hit the plan cache (which also caches the lock set) and
 	// the measurement isolates lock overhead + contention rather than
-	// parse/plan cost. Alternate the two modes and keep each mode's best of three runs:
-	// on this box GC drift across runs is larger than the effect measured. ---
+	// parse/plan cost. Keep the best of three runs to damp GC drift between
+	// runs. ---
 	const writerTables = 4
 	const writerKeys = 8
-	runWriters := func(globalOnly bool) (float64, sqldb.LockStats) {
+	runWriters := func() (float64, sqldb.LockStats) {
 		runtime.GC()
 		we := sqldb.NewEngine("writers")
-		we.SetGlobalWriteLock(globalOnly)
 		ws := we.NewSession("root")
 		stmts := make([][]string, writerTables)
 		for w := 0; w < writerTables; w++ {
@@ -136,36 +135,26 @@ func printParallel() error {
 		})
 		return float64(r.T.Nanoseconds()) / float64(r.N), we.LockStats()
 	}
-	shardedNs, globalNs := 0.0, 0.0
+	shardedNs := 0.0
 	var shardedStats sqldb.LockStats
 	for round := 0; round < 3; round++ {
-		gNs, _ := runWriters(true)
-		if globalNs == 0 || gNs < globalNs {
-			globalNs = gNs
-		}
-		sNs, sStats := runWriters(false)
+		sNs, sStats := runWriters()
 		if shardedNs == 0 || sNs < shardedNs {
 			shardedNs, shardedStats = sNs, sStats
 		}
 	}
 	fmt.Printf("%-36s %12.0f ns/op (best of 3)\n", "DisjointTableWriters", shardedNs)
-	fmt.Printf("%-36s %12.0f ns/op (best of 3)\n", "DisjointWritersGlobalLock", globalNs)
-	results = append(results,
-		benchOut{Name: "DisjointTableWriters", NsPerOp: shardedNs},
-		benchOut{Name: "DisjointWritersGlobalLock", NsPerOp: globalNs})
+	results = append(results, benchOut{Name: "DisjointTableWriters", NsPerOp: shardedNs})
 
-	// --- The workload the old engine-wide writeMu hurt most: a point writer
-	// sharing the engine with a bulk writer that runs ~50ms full-table
-	// UPDATEs on a different table. Under the global lock a point update can
-	// stall behind the whole in-flight bulk statement (stalls are rare but
-	// huge, so the mean and the worst-case stall are the honest metrics — p99
-	// sits below the stall frequency); per-table locks never lock-stall it,
-	// leaving only scheduler preemption. ---
+	// --- A point writer sharing the engine with a bulk writer that runs
+	// ~50ms full-table UPDATEs on a different table. Per-table locks never
+	// lock-stall the point writer, leaving only scheduler preemption; stalls
+	// are rare but huge, so the mean and the worst-case stall are the honest
+	// metrics (p99 sits below the stall frequency). ---
 	type latency struct{ mean, p50, p99, max float64 }
-	runMixed := func(globalOnly bool) latency {
+	runMixed := func() latency {
 		runtime.GC()
 		we := sqldb.NewEngine("mixed")
-		we.SetGlobalWriteLock(globalOnly)
 		ws := we.NewSession("root")
 		ws.MustExec("CREATE TABLE bulk (id INT PRIMARY KEY, n INT)")
 		for i := 0; i < 20000; i += 500 {
@@ -230,23 +219,12 @@ func printParallel() error {
 			max:  float64(durs[ops-1].Nanoseconds()),
 		}
 	}
-	mixedSharded := runMixed(false)
-	mixedGlobal := runMixed(true)
-	for _, m := range []struct {
-		name string
-		lat  latency
-	}{
-		{"PointWriterBesideBulkWriter", mixedSharded},
-		{"PointWriterBesideBulkGlobalLock", mixedGlobal},
-	} {
-		fmt.Printf("%-36s mean %9.0f ns  p50 %9.0f  p99 %11.0f  max %11.0f\n",
-			m.name, m.lat.mean, m.lat.p50, m.lat.p99, m.lat.max)
-		results = append(results, benchOut{Name: m.name, NsPerOp: m.lat.mean})
-	}
-	fmt.Printf("\nuniform disjoint writers: %.2fx vs the single global write lock (max %d writers inside statements at once)\n",
-		globalNs/shardedNs, shardedStats.MaxConcurrentWriters)
-	fmt.Printf("point writer beside a bulk writer: %.1fx mean throughput, worst stall %.0fms vs %.0fms under the global lock\n",
-		mixedGlobal.mean/mixedSharded.mean, mixedSharded.max/1e6, mixedGlobal.max/1e6)
+	mixed := runMixed()
+	fmt.Printf("%-36s mean %9.0f ns  p50 %9.0f  p99 %11.0f  max %11.0f\n",
+		"PointWriterBesideBulkWriter", mixed.mean, mixed.p50, mixed.p99, mixed.max)
+	results = append(results, benchOut{Name: "PointWriterBesideBulkWriter", NsPerOp: mixed.mean})
+	fmt.Printf("\nuniform disjoint writers: max %d writers inside statements at once\n",
+		shardedStats.MaxConcurrentWriters)
 
 	// --- Conflict storm: hot-row increments through the retry loop, now
 	// with exponential backoff + jitter between attempts ---
@@ -293,12 +271,8 @@ func printParallel() error {
 		SeqScanSpeedup       float64    `json:"seq_scan_speedup"`
 		GroupBySpeedup       float64    `json:"group_by_speedup"`
 		HashJoinSpeedup      float64    `json:"hash_join_speedup"`
-		WriterSpeedup        float64    `json:"uniform_writer_speedup_vs_global_lock"`
-		PointWriterSpeedup   float64    `json:"point_writer_speedup_vs_global_lock"`
 		PointWriterP99       float64    `json:"point_writer_p99_ns"`
-		PointWriterP99Global float64    `json:"point_writer_p99_ns_global_lock"`
 		PointWriterMax       float64    `json:"point_writer_max_ns"`
-		PointWriterMaxGlobal float64    `json:"point_writer_max_ns_global_lock"`
 		MaxConcurrentWriters int64      `json:"max_concurrent_writers"`
 		ConflictRate         float64    `json:"conflict_rate"`
 		Conflicts            int64      `json:"conflicts"`
@@ -311,12 +285,8 @@ func printParallel() error {
 		SeqScanSpeedup:       scanSeq / scanPar,
 		GroupBySpeedup:       groupSeq / groupPar,
 		HashJoinSpeedup:      joinSeq / joinPar,
-		WriterSpeedup:        globalNs / shardedNs,
-		PointWriterSpeedup:   mixedGlobal.mean / mixedSharded.mean,
-		PointWriterP99:       mixedSharded.p99,
-		PointWriterP99Global: mixedGlobal.p99,
-		PointWriterMax:       mixedSharded.max,
-		PointWriterMaxGlobal: mixedGlobal.max,
+		PointWriterP99:       mixed.p99,
+		PointWriterMax:       mixed.max,
 		MaxConcurrentWriters: shardedStats.MaxConcurrentWriters,
 		ConflictRate:         rate,
 		Conflicts:            conflicts,

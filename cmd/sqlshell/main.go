@@ -23,6 +23,7 @@
 //	\slowlog [ms]   show slow queries; with ms, set the threshold
 //	\wal            show durability stats and fail-stop/degraded state
 //	\checkpoint     force a snapshot + WAL truncation (persistent mode)
+//	\parallel on|off  engine-wide worker pool: off runs every operator on one worker
 //	\q              quit (persistent mode: checkpoint and close cleanly)
 package main
 
@@ -226,8 +227,14 @@ func metaCommand(engine *sqldb.Engine, session **sqldb.Session, line string) boo
 			fmt.Println("usage: \\parallel on|off")
 			return false
 		}
-		(*session).SetParallel(fields[1] == "on")
-		fmt.Printf("parallel batched execution %s for this session\n", fields[1])
+		// Parallelism is engine-wide: off runs every operator's morsels on
+		// one worker, on restores the default pool (GOMAXPROCS workers).
+		workers := 0
+		if fields[1] == "off" {
+			workers = 1
+		}
+		engine.SetParallelism(workers, 0)
+		fmt.Printf("parallel execution %s (engine-wide, all sessions)\n", fields[1])
 	default:
 		fmt.Printf("unknown command %s\n", fields[0])
 	}

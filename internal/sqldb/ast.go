@@ -331,6 +331,8 @@ func walkExpr(e Expr, fn func(Expr)) {
 		walkExpr(x.Pattern, fn)
 	case *IsNullExpr:
 		walkExpr(x.Operand, fn)
+	case *CastExpr:
+		walkExpr(x.Operand, fn)
 	case *CaseExpr:
 		for _, w := range x.Whens {
 			walkExpr(w.Cond, fn)

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -13,11 +14,11 @@ import (
 // valid against the catalog version skips the lexer, parser, and planner
 // entirely (the engine's prepared-statement layer, see plancache.go).
 func (s *Session) Exec(sql string) (*Result, error) {
-	// A forced-seq-scan or parallelism-off session neither serves nor
-	// produces cached plans: cache entries are shared engine-wide, and an
-	// optimized entry would defeat the forcing just as a forced entry would
-	// pessimize everyone else.
-	if !s.forceSeqScan && !s.noParallel {
+	// A forced-seq-scan session neither serves nor produces cached plans:
+	// cache entries are shared engine-wide, and an optimized entry would
+	// defeat the forcing just as a forced entry would pessimize everyone
+	// else.
+	if !s.forceSeqScan {
 		if ent, ok := s.engine.plans.lookup(s.user, sql); ok {
 			if res, done, err := s.execCached(ent, sql); done {
 				return res, err
@@ -303,7 +304,7 @@ func (s *Session) execCachedLocked(ent *cachedStmt, sql string) (res *Result, do
 // plan. INSERT caches as parsed-only (a hit still skips lexer and parser).
 // Everything else (DDL, grants, EXPLAIN) returns nil and is never cached.
 func (s *Session) prepare(stmt Stmt) *cachedStmt {
-	if s.forceSeqScan || s.noParallel {
+	if s.forceSeqScan {
 		return nil
 	}
 	ent := &cachedStmt{
@@ -476,39 +477,16 @@ func mainTable(stmt Stmt) string {
 type rowSet struct {
 	cols []string
 	rows [][]Value
+	env  []envCol // cols in Env layout; see envCols
 }
 
-func (s *Session) scanTable(name, alias string) (*rowSet, error) {
-	t, ok := s.engine.Table(name)
-	if !ok {
-		// Views expand to their stored query's result, aliased under the
-		// view's name (owner-style privileges: the outer statement needed
-		// SELECT on the view itself, not on its underlying tables).
-		if v, isView := s.engine.ViewByName(name); isView {
-			return s.scanView(v, alias)
-		}
-		return nil, &NotFoundError{Kind: "table", Name: name}
+// envCols returns the relation's columns in Env layout, computed once and
+// shared by every operator that binds against this relation.
+func (r *rowSet) envCols() []envCol {
+	if r.env == nil {
+		r.env = toEnvCols(r.cols)
 	}
-	q := strings.ToLower(alias)
-	if q == "" {
-		q = strings.ToLower(name)
-	}
-	// Preallocate to the table's estimated live size: a seq scan emits
-	// about RowCount rows, so growth reallocations are pure waste on large
-	// tables.
-	rs := &rowSet{
-		cols: make([]string, 0, len(t.Columns)),
-		rows: make([][]Value, 0, t.RowCount()),
-	}
-	for _, c := range t.Columns {
-		rs.cols = append(rs.cols, q+"."+strings.ToLower(c.Name))
-	}
-	_ = t.visibleRows(s.curView, func(_ *rowEntry, rv *rowVersion) error {
-		rs.rows = append(rs.rows, rv.vals)
-		return nil
-	})
-	s.engine.scanRowsVisited.Add(int64(len(rs.rows)))
-	return rs, nil
+	return r.env
 }
 
 // scanView materializes a view into a rowSet. The stored AST is shared
@@ -543,19 +521,18 @@ func (s *Session) execSelect(st *SelectStmt, outer *Env) (*Result, error) {
 }
 
 // runSelectPlan executes a SELECT plan — freshly built or served from the
-// plan cache — through the source tree and the projection/aggregation
-// pipeline above it.
+// plan cache — through the source tree and the batched
+// projection/aggregation pipeline above it.
 func (s *Session) runSelectPlan(plan *SelectPlan, outer *Env) (*Result, error) {
 	st := plan.Stmt
 
-	// FROM-less SELECT evaluates once against the outer env.
+	// FROM-less SELECT evaluates its select list once against the outer env.
 	if plan.Source == nil {
-		env := &Env{outer: outer, sess: s}
-		cols, row, err := projectRow(st.Items, env, nil)
+		rows, err := s.project(st.Items, nil, nil, &rowSet{rows: [][]Value{nil}}, nil, outer)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Columns: cols, Rows: [][]Value{row}}, nil
+		return &Result{Columns: outputCols(st.Items, nil), Rows: rows}, nil
 	}
 
 	src, err := s.runSource(plan.Source, outer)
@@ -570,96 +547,43 @@ func (s *Session) runSelectPlan(plan *SelectPlan, outer *Env) (*Result, error) {
 		return nil, err
 	}
 
-	aggregated := len(st.GroupBy) > 0 || selectHasAggregate(st)
-	var outCols []string
-	var outRows [][]Value
-	var orderEnvs []*Env
-	// Row envs are only kept for the sort stage; an ordered scan that
-	// already emits in ORDER BY order (SortPushed) doesn't need them.
-	needEnvs := len(st.OrderBy) > 0 && !plan.SortPushed
-
-	if aggregated {
-		groups, err := s.groupRows(st, filtered, outer)
-		if err != nil {
-			return nil, err
-		}
-		for _, g := range groups {
-			env := &Env{cols: toEnvCols(filtered.cols), vals: g.firstRow, agg: g.agg, outer: outer, sess: s}
-			if st.Having != nil {
-				hv, err := st.Having.Eval(env)
-				if err != nil {
-					return nil, err
-				}
-				if hv.IsNull() || !hv.Truthy() {
-					continue
-				}
-			}
-			cols, row, err := projectRow(st.Items, env, filtered.cols)
-			if err != nil {
-				return nil, err
-			}
-			outCols = row2cols(outCols, cols)
-			outRows = append(outRows, row)
-			if needEnvs {
-				orderEnvs = append(orderEnvs, env)
-			}
-		}
-		if len(outCols) == 0 {
-			cols, err := projectColsOnly(st.Items, filtered.cols)
-			if err != nil {
-				return nil, err
-			}
-			outCols = cols
-		}
-	} else {
-		projected := false
-		// The sort stage needs per-row envs, which the batched projection
-		// does not keep — ORDER BY (unless pushed) stays row-at-a-time.
-		if !needEnvs {
-			cols, rows, handled, err := s.parProject(st.Items, filtered, outer)
-			if err != nil {
-				return nil, err
-			}
-			if handled {
-				outCols, outRows = cols, rows
-				projected = true
-			}
-		}
-		if !projected {
-			outRows = make([][]Value, 0, len(filtered.rows))
-			envCols := toEnvCols(filtered.cols)
-			for _, vals := range filtered.rows {
-				env := &Env{cols: envCols, vals: vals, outer: outer, sess: s}
-				cols, row, err := projectRow(st.Items, env, filtered.cols)
-				if err != nil {
-					return nil, err
-				}
-				outCols = row2cols(outCols, cols)
-				outRows = append(outRows, row)
-				if needEnvs {
-					orderEnvs = append(orderEnvs, env)
-				}
-			}
-		}
-		if len(outCols) == 0 {
-			cols, err := projectColsOnly(st.Items, filtered.cols)
-			if err != nil {
-				return nil, err
-			}
-			outCols = cols
-		}
-	}
-
-	if st.Distinct {
-		outRows, orderEnvs = s.distinctRows(outRows, orderEnvs)
-	}
-
+	outCols := outputCols(st.Items, filtered.cols)
 	// SortPushed plans emit rows in ORDER BY order straight from the
 	// ordered index scan; the sort stage is skipped exactly as EXPLAIN
 	// shows (no Sort node in the tree).
-	if len(st.OrderBy) > 0 && !plan.SortPushed {
-		if err := orderRows(st.OrderBy, outCols, outRows, orderEnvs); err != nil {
+	sorted := len(st.OrderBy) > 0 && !plan.SortPushed
+	var sortCols []int
+	var sortExtra []Expr
+	var badOrdinal error
+	if sorted {
+		sortCols, sortExtra, badOrdinal = sortSlots(st.OrderBy, outCols)
+	}
+
+	var groups []*groupResult
+	var having Expr
+	if len(st.GroupBy) > 0 || selectHasAggregate(st) {
+		if groups, err = s.groupRows(st, filtered, outer); err != nil {
 			return nil, err
+		}
+		having = st.Having
+	}
+	outRows, err := s.project(st.Items, sortExtra, having, filtered, groups, outer)
+	if err != nil {
+		return nil, err
+	}
+
+	if st.Distinct {
+		outRows = s.distinctRows(outRows, len(outCols))
+	}
+	if sorted && len(outRows) > 0 {
+		if badOrdinal != nil {
+			return nil, badOrdinal
+		}
+		orderRows(st.OrderBy, sortCols, outRows)
+		if len(sortExtra) > 0 {
+			for i, row := range outRows {
+				outRows[i] = row[:len(outCols):len(outCols)]
+			}
 		}
 	}
 
@@ -668,13 +592,6 @@ func (s *Session) runSelectPlan(plan *SelectPlan, outer *Env) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Columns: outCols, Rows: outRows}, nil
-}
-
-func row2cols(existing, cols []string) []string {
-	if existing == nil {
-		return cols
-	}
-	return existing
 }
 
 func toEnvCols(qualified []string) []envCol {
@@ -691,54 +608,27 @@ func toEnvCols(qualified []string) []envCol {
 
 func (s *Session) joinSets(left, right *rowSet, ref TableRef, outer *Env) (*rowSet, error) {
 	out := &rowSet{cols: append(append([]string{}, left.cols...), right.cols...)}
-	envCols := toEnvCols(out.cols)
-
-	// Hash-join fast path for INNER JOIN on a simple column equality. The
-	// build side preallocates both the bucket map and a shared index arena
-	// (one int per build row), so building allocates O(1) slices instead of
-	// one per distinct key.
 	if ref.JoinKind == JoinInner && ref.On != nil {
 		if li, ri, ok := equiJoinCols(ref.On, left.cols, right.cols); ok {
-			if workers, slots, pok := s.parallelEligible(len(left.rows)+len(right.rows), outer); pok {
-				return parHashJoin(out, left, right, li, ri, workers, slots), nil
-			}
-			ht := make(map[string][]int, len(right.rows))
-			arena := make([]int, 0, len(right.rows))
-			for idx, rrow := range right.rows {
-				k := rrow[ri].Key()
-				if b, hit := ht[k]; hit {
-					ht[k] = append(b, idx)
-				} else {
-					arena = append(arena, idx)
-					ht[k] = arena[len(arena)-1 : len(arena) : len(arena)]
-				}
-			}
-			out.rows = make([][]Value, 0, len(left.rows))
-			for _, lrow := range left.rows {
-				lv := lrow[li]
-				if lv.IsNull() {
-					continue
-				}
-				for _, idx := range ht[lv.Key()] {
-					combined := make([]Value, 0, len(lrow)+len(right.rows[idx]))
-					combined = append(combined, lrow...)
-					combined = append(combined, right.rows[idx]...)
-					out.rows = append(out.rows, combined)
-				}
-			}
-			return out, nil
+			workers, slots := s.fanout(len(left.rows)+len(right.rows), false)
+			return hashJoin(out, left, right, li, ri, workers, slots), nil
 		}
 	}
 
+	// Nested loop: the only strategy for non-equi and LEFT joins. The ON
+	// clause is bound once and evaluated through one reused Env.
+	b := newBinder(out.envCols(), len(left.rows)*len(right.rows))
+	on := b.bindExpr(ref.On)
+	env := &Env{cols: b.cols, outer: outer, sess: s}
 	for _, lrow := range left.rows {
 		matched := false
 		for _, rrow := range right.rows {
 			combined := make([]Value, 0, len(lrow)+len(rrow))
 			combined = append(combined, lrow...)
 			combined = append(combined, rrow...)
-			if ref.On != nil {
-				env := &Env{cols: envCols, vals: combined, outer: outer, sess: s}
-				ov, err := ref.On.Eval(env)
+			if on != nil {
+				env.vals = combined
+				ov, err := on.Eval(env)
 				if err != nil {
 					return nil, err
 				}
@@ -810,27 +700,6 @@ func resolveIn(c *ColumnRef, cols []string) int {
 	return hit
 }
 
-// applyFilter filters a rowSet by a predicate; a nil predicate passes rows
-// through unchanged.
-func (s *Session) applyFilter(cond Expr, src *rowSet, outer *Env) (*rowSet, error) {
-	if cond == nil {
-		return src, nil
-	}
-	envCols := toEnvCols(src.cols)
-	out := &rowSet{cols: src.cols}
-	for _, vals := range src.rows {
-		env := &Env{cols: envCols, vals: vals, outer: outer, sess: s}
-		v, err := cond.Eval(env)
-		if err != nil {
-			return nil, err
-		}
-		if !v.IsNull() && v.Truthy() {
-			out.rows = append(out.rows, vals)
-		}
-	}
-	return out, nil
-}
-
 // indexableEq finds a top-level `col = literal` conjunct and resolves the
 // column position.
 func indexableEq(where Expr, cols []string) (int, Value, bool) {
@@ -879,12 +748,6 @@ func selectHasAggregate(st *SelectStmt) bool {
 	return false
 }
 
-type groupResult struct {
-	firstRow []Value
-	rows     [][]Value
-	agg      map[Expr]Value
-}
-
 // collectAggNodes gathers every distinct aggregate call node in the select
 // list, HAVING, and ORDER BY. Group results are keyed by these original node
 // pointers (see Env.agg), so the set must be collected from the statement
@@ -910,100 +773,8 @@ func collectAggNodes(st *SelectStmt) []*FuncExpr {
 	return aggNodes
 }
 
-// groupRows partitions rows by the GROUP BY keys and computes every
-// aggregate node once per group.
-func (s *Session) groupRows(st *SelectStmt, src *rowSet, outer *Env) ([]*groupResult, error) {
-	if groups, handled, err := s.parGroupRows(st, src, outer); handled {
-		return groups, err
-	}
-	envCols := toEnvCols(src.cols)
-	aggNodes := collectAggNodes(st)
-
-	keyed := map[string]*groupResult{}
-	var order []string
-	for _, vals := range src.rows {
-		env := &Env{cols: envCols, vals: vals, outer: outer, sess: s}
-		var kb strings.Builder
-		for _, ge := range st.GroupBy {
-			gv, err := ge.Eval(env)
-			if err != nil {
-				return nil, err
-			}
-			writeKeySegment(&kb, gv)
-		}
-		k := kb.String()
-		g, ok := keyed[k]
-		if !ok {
-			g = &groupResult{firstRow: vals}
-			keyed[k] = g
-			order = append(order, k)
-		}
-		g.rows = append(g.rows, vals)
-	}
-	// A query like SELECT COUNT(*) FROM empty (no GROUP BY) yields one
-	// group over zero rows.
-	if len(order) == 0 && len(st.GroupBy) == 0 {
-		g := &groupResult{firstRow: make([]Value, len(src.cols))}
-		for i := range g.firstRow {
-			g.firstRow[i] = Null()
-		}
-		keyed[""] = g
-		order = append(order, "")
-	}
-
-	var out []*groupResult
-	for _, k := range order {
-		g := keyed[k]
-		g.agg = map[Expr]Value{}
-		for _, f := range aggNodes {
-			v, err := s.computeAggregate(f, g.rows, envCols, outer)
-			if err != nil {
-				return nil, err
-			}
-			g.agg[f] = v
-		}
-		out = append(out, g)
-	}
-	return out, nil
-}
-
-func (s *Session) computeAggregate(f *FuncExpr, rows [][]Value, envCols []envCol, outer *Env) (Value, error) {
-	if f.Star {
-		if f.Name != "COUNT" {
-			return Value{}, fmt.Errorf("%s(*) is not supported", f.Name)
-		}
-		return NewInt(int64(len(rows))), nil
-	}
-	if len(f.Args) != 1 {
-		return Value{}, fmt.Errorf("%s expects exactly one argument", f.Name)
-	}
-	var vals []Value
-	distinct := map[string]bool{}
-	for _, row := range rows {
-		env := &Env{cols: envCols, vals: row, outer: outer, sess: s}
-		v, err := f.Args[0].Eval(env)
-		if err != nil {
-			return Value{}, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if f.Distinct {
-			k := v.Key()
-			if distinct[k] {
-				continue
-			}
-			distinct[k] = true
-		}
-		vals = append(vals, v)
-	}
-	return finishAggregate(f, vals)
-}
-
 // finishAggregate folds the collected (non-NULL, DISTINCT-deduped) argument
-// values according to the aggregate's semantics. Shared by the row-at-a-time
-// and batched group paths so numeric behavior (e.g. float summation order)
-// is decided in exactly one place.
+// values according to the aggregate's semantics.
 func finishAggregate(f *FuncExpr, vals []Value) (Value, error) {
 	switch f.Name {
 	case "COUNT":
@@ -1050,34 +821,9 @@ func finishAggregate(f *FuncExpr, vals []Value) (Value, error) {
 	return Value{}, fmt.Errorf("unknown aggregate %s", f.Name)
 }
 
-// projectRow evaluates the select list against one row environment.
-func projectRow(items []SelectItem, env *Env, srcCols []string) ([]string, []Value, error) {
-	var cols []string
-	var row []Value
-	for _, it := range items {
-		if it.Star {
-			for i, q := range srcCols {
-				tbl, name := splitQualified(q)
-				if it.Table != "" && !strings.EqualFold(tbl, it.Table) {
-					continue
-				}
-				cols = append(cols, name)
-				row = append(row, env.vals[i])
-			}
-			continue
-		}
-		v, err := it.Expr.Eval(env)
-		if err != nil {
-			return nil, nil, err
-		}
-		cols = append(cols, itemName(it))
-		row = append(row, v)
-	}
-	return cols, row, nil
-}
-
-// projectColsOnly computes output column names for an empty result.
-func projectColsOnly(items []SelectItem, srcCols []string) ([]string, error) {
+// outputCols computes the output column names of a select list over the
+// given source columns.
+func outputCols(items []SelectItem, srcCols []string) []string {
 	var cols []string
 	for _, it := range items {
 		if it.Star {
@@ -1092,7 +838,7 @@ func projectColsOnly(items []SelectItem, srcCols []string) ([]string, error) {
 		}
 		cols = append(cols, itemName(it))
 	}
-	return cols, nil
+	return cols
 }
 
 func itemName(it SelectItem) string {
@@ -1112,97 +858,41 @@ func splitQualified(q string) (table, name string) {
 	return "", q
 }
 
-func (s *Session) distinctRows(rows [][]Value, envs []*Env) ([][]Value, []*Env) {
-	// Key computation is pure per-row work; precompute the keys in morsels
-	// when the row count warrants it. The dedup loop itself stays
-	// sequential, preserving first-appearance order.
-	var parKeys []string
-	if workers, slots, ok := s.parallelEligible(len(rows), nil); ok {
-		parKeys = parDistinctKeys(rows, workers, slots)
-	}
-	seen := map[string]bool{}
-	var outRows [][]Value
-	var outEnvs []*Env
-	for i, row := range rows {
-		var k string
-		if parKeys != nil {
-			k = parKeys[i]
-		} else {
-			var kb strings.Builder
-			for _, v := range row {
-				writeKeySegment(&kb, v)
+// sortSlots resolves each ORDER BY key to a position in the projected row:
+// a 1-based ordinal, an output column named by an unqualified reference
+// (output names shadow source columns), or else a column the projection
+// pass appends after the select list, whose expressions extra lists in
+// order. An out-of-range ordinal is returned as badOrdinal, an error only
+// when there are rows to sort.
+func sortSlots(keys []OrderKey, outCols []string) (slots []int, extra []Expr, badOrdinal error) {
+	for _, k := range keys {
+		if lit, ok := k.Expr.(*Literal); ok && lit.Val.Kind == KindInt {
+			idx := int(lit.Val.I) - 1
+			if (idx < 0 || idx >= len(outCols)) && badOrdinal == nil {
+				badOrdinal = fmt.Errorf("ORDER BY position %d is out of range", lit.Val.I)
 			}
-			k = kb.String()
-		}
-		if seen[k] {
+			slots = append(slots, idx)
 			continue
 		}
-		seen[k] = true
-		outRows = append(outRows, row)
-		if envs != nil {
-			outEnvs = append(outEnvs, envs[i])
-		}
-	}
-	return outRows, outEnvs
-}
-
-// orderRows sorts rows in place by the ORDER BY keys. Keys may reference
-// source columns (via the saved row envs), output aliases, or 1-based
-// ordinals.
-func orderRows(keys []OrderKey, outCols []string, rows [][]Value, envs []*Env) error {
-	type sortKey struct{ vals []Value }
-	sk := make([]sortKey, len(rows))
-	lowerOut := make([]string, len(outCols))
-	for i, c := range outCols {
-		lowerOut[i] = strings.ToLower(c)
-	}
-	for i := range rows {
-		for _, k := range keys {
-			var v Value
-			// Ordinal reference: ORDER BY 2.
-			if lit, ok := k.Expr.(*Literal); ok && lit.Val.Kind == KindInt {
-				idx := int(lit.Val.I) - 1
-				if idx < 0 || idx >= len(rows[i]) {
-					return fmt.Errorf("ORDER BY position %d is out of range", lit.Val.I)
-				}
-				v = rows[i][idx]
-			} else {
-				// Try output alias first, then the source environment.
-				resolved := false
-				if cr, ok := k.Expr.(*ColumnRef); ok && cr.Table == "" {
-					for j, c := range lowerOut {
-						if c == strings.ToLower(cr.Name) {
-							v = rows[i][j]
-							resolved = true
-							break
-						}
-					}
-				}
-				if !resolved {
-					ev, err := k.Expr.Eval(envs[i])
-					if err != nil {
-						// Fall back to alias-only resolution failure.
-						return err
-					}
-					v = ev
-				}
-			}
-			sk[i].vals = append(sk[i].vals, v)
-		}
-	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	var sortErr error
-	sort.SliceStable(idx, func(a, b int) bool {
-		for ki, k := range keys {
-			va, vb := sk[idx[a]].vals[ki], sk[idx[b]].vals[ki]
-			c, null := compareForOrder(va, vb, k.Desc)
-			if null {
+		if cr, ok := k.Expr.(*ColumnRef); ok && cr.Table == "" {
+			if j := slices.IndexFunc(outCols, func(c string) bool { return strings.EqualFold(c, cr.Name) }); j >= 0 {
+				slots = append(slots, j)
 				continue
 			}
-			if c == 0 {
+		}
+		slots = append(slots, len(outCols)+len(extra))
+		extra = append(extra, k.Expr)
+	}
+	return slots, extra, badOrdinal
+}
+
+// orderRows stably sorts rows in place by the values at the ORDER BY keys'
+// slots (see sortSlots).
+func orderRows(keys []OrderKey, slots []int, rows [][]Value) {
+	sort.SliceStable(rows, func(a, b int) bool {
+		for ki, k := range keys {
+			c, null := compareForOrder(rows[a][slots[ki]], rows[b][slots[ki]], k.Desc)
+			if null || c == 0 {
 				continue
 			}
 			if k.Desc {
@@ -1212,14 +902,6 @@ func orderRows(keys []OrderKey, outCols []string, rows [][]Value, envs []*Env) e
 		}
 		return false
 	})
-	// Apply the permutation.
-	sortedRows := make([][]Value, len(rows))
-	for i, j := range idx {
-		sortedRows[i] = rows[j]
-	}
-	copy(rows, sortedRows)
-	_ = sortErr
-	return nil
 }
 
 // compareForOrder compares with PostgreSQL null ordering: NULL is treated

@@ -34,10 +34,6 @@ type lockManager struct {
 
 	tables sync.Map // table name -> *sync.Mutex
 
-	// globalOnly routes every writer through the global lock, restoring the
-	// pre-sharding single-writeMu behavior. Benchmarks use it as a baseline.
-	globalOnly atomic.Bool
-
 	tableAcquires  atomic.Int64
 	globalAcquires atomic.Int64
 	curWriters     atomic.Int64
@@ -108,7 +104,7 @@ type LockStats struct {
 	// TableAcquires counts individual table-lock acquisitions by DML.
 	TableAcquires int64
 	// GlobalAcquires counts exclusive all-tables acquisitions (DDL, grants,
-	// transaction control, and DML while the global-only fallback is on).
+	// and transaction control).
 	GlobalAcquires int64
 	// MaxConcurrentWriters is the high-water mark of DML statements holding
 	// table locks at the same time.
@@ -122,13 +118,6 @@ func (e *Engine) LockStats() LockStats {
 		GlobalAcquires:       e.locks.globalAcquires.Load(),
 		MaxConcurrentWriters: e.locks.maxWriters.Load(),
 	}
-}
-
-// SetGlobalWriteLock toggles the single-global-lock fallback in which every
-// mutating statement serializes on one lock, as before the per-table lock
-// manager existed. Benchmarks use it to measure the sharding win.
-func (e *Engine) SetGlobalWriteLock(on bool) {
-	e.locks.globalOnly.Store(on)
 }
 
 // lockForWrite acquires the write-side locks for one mutating statement and
@@ -154,11 +143,6 @@ func (e *Engine) lockForWriteNames(stmt Stmt, names []string) func() {
 	start := time.Now()
 	switch stmt.(type) {
 	case *InsertStmt, *UpdateStmt, *DeleteStmt:
-		if lm.globalOnly.Load() {
-			unlock := lm.lockAll()
-			e.metrics.lockWait.Observe(time.Since(start))
-			return unlock
-		}
 		lm.global.RLock() //sqlvet:ignore lockbalance -- shared global held until the returned closure runs
 		if names == nil {
 			names = e.writeLockNames(stmt)

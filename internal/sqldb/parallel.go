@@ -9,30 +9,34 @@ import (
 	"sync/atomic"
 )
 
-// Morsel-driven parallel execution.
+// Morsel-driven execution.
 //
-// Read-side operators (seq scan + filter, projection, hash-join build and
-// probe, GROUP BY / DISTINCT key builds) partition their input row slice
-// into fixed-size morsels. Morsels are handed out dynamically through an
-// atomic counter to a small set of workers drawn from a bounded per-engine
-// pool; the calling goroutine always participates, so execution makes
-// progress even when the pool is exhausted (and degenerates to the batched
-// single-goroutine path at workers=1). Each morsel writes into its own
-// output buffer; buffers are concatenated in morsel order at the end, which
-// keeps row order — and therefore results — identical to the sequential
-// executor.
+// Every read-side operator (seq scan + filter, filter, projection, hash-join
+// build and probe, GROUP BY / DISTINCT key builds, aggregates) partitions its
+// input row slice into fixed-size morsels. Morsels are handed out
+// dynamically through an atomic counter to a small set of workers drawn from
+// a bounded per-engine pool; the calling goroutine always participates, so
+// execution makes progress even when the pool is exhausted. Each morsel
+// writes into its own output buffer; buffers are concatenated in morsel
+// order at the end, which keeps row order — and therefore results —
+// independent of the worker count.
 //
-// Inside a worker, expressions are evaluated against a *bound* copy of the
-// tree (see bindExpr) in which every column reference has been resolved to
-// a positional index at bind time. That removes the per-row name lookup and
-// the per-row Env allocation of the row-at-a-time path, which is why the
-// batched path is faster even with a single worker.
+// The worker count is derived from the input (see Session.fanout): one
+// worker runs the morsels inline on the calling goroutine; more only when
+// the input clears the engine's row threshold and no expression the
+// operator evaluates contains a subquery, because subqueries execute
+// through the session, which is not safe for concurrent use.
+//
+// Inside a morsel, expressions are evaluated against a *bound* copy of the
+// tree (see bindExpr) in which every column reference that resolves against
+// the operator's input layout has been replaced by a positional index at
+// bind time, and one Env is reused across the morsel's rows.
 
 const (
 	// morselSize is the number of rows handed to a worker at a time.
 	morselSize = 1024
-	// defaultParallelThreshold is the minimum input row count before the
-	// planner considers a parallel scan worthwhile.
+	// defaultParallelThreshold is the minimum input row count before an
+	// operator fans out to more than one worker.
 	defaultParallelThreshold = 2048
 )
 
@@ -47,11 +51,11 @@ type parallelConfig struct {
 	slots     chan struct{}
 }
 
-// SetParallelism configures batched/parallel query execution: workers is
-// the maximum number of goroutines one operator may use (<=1 keeps the
-// batched path but runs it inline), threshold is the minimum row count
-// before the planner parallelizes a scan. Zero values select the defaults
-// (GOMAXPROCS workers, 2048-row threshold).
+// SetParallelism configures query execution for the whole engine: workers
+// is the maximum number of goroutines one operator may use (<=1 runs every
+// operator's morsels inline on the statement's goroutine), threshold is the
+// minimum input row count before an operator fans out. Zero values select
+// the defaults (GOMAXPROCS workers, 2048-row threshold).
 func (e *Engine) SetParallelism(workers, threshold int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -86,24 +90,19 @@ func (e *Engine) parallelism() (workers, threshold int, slots chan struct{}) {
 	return p.workers, p.threshold, p.slots
 }
 
-// parallelEligible reports whether this session may run a batched/parallel
-// operator over n input rows. Parallel operators are disabled inside
-// correlated contexts (outer != nil: subqueries run on the statement's
-// goroutine and may reference outer columns) and for sessions that forced
-// them off.
-func (s *Session) parallelEligible(n int, outer *Env) (workers int, slots chan struct{}, ok bool) {
-	if outer != nil || s.forceSeqScan || s.noParallel {
-		return 0, nil, false
-	}
-	w, thr, sl := s.engine.parallelism()
-	if n < thr {
-		return 0, nil, false
+// fanout returns the worker count and slot pool for an operator over n
+// input rows: one worker (inline, no pool) unless n clears the engine's
+// threshold and none of the operator's bound expressions kept a subquery.
+func (s *Session) fanout(n int, subquery bool) (int, chan struct{}) {
+	w, thr, slots := s.engine.parallelism()
+	if w <= 1 || n < thr || subquery {
+		return 1, nil
 	}
 	m := &s.engine.metrics
 	m.parBatches.Add(1)
 	m.parMorsels.Add(int64(chunkCount(n, morselSize)))
 	m.parWorkers.ObserveValue(int64(w))
-	return w, sl, true
+	return w, slots
 }
 
 // chunkCount returns how many chunk-sized pieces cover n items.
@@ -112,12 +111,16 @@ func chunkCount(n, chunk int) int {
 }
 
 // runChunked partitions [0, n) into chunk-sized pieces and calls fn once per
-// piece, handing pieces out dynamically. Up to workers-1 extra goroutines
-// are claimed from the slot pool without blocking; the caller always
+// piece. With one worker the pieces run in order on the caller; otherwise
+// they are handed out dynamically, up to workers-1 extra goroutines are
+// claimed from the slot pool without blocking, and the caller always
 // participates. fn must be safe to call concurrently for distinct indexes.
 func runChunked(slots chan struct{}, workers, n, chunk int, fn func(idx, start, end int)) {
 	nc := chunkCount(n, chunk)
-	if nc == 0 {
+	if workers <= 1 || slots == nil || nc <= 1 {
+		for c := 0; c < nc; c++ {
+			fn(c, c*chunk, min(c*chunk+chunk, n))
+		}
 		return
 	}
 	var next atomic.Int64
@@ -127,40 +130,31 @@ func runChunked(slots chan struct{}, workers, n, chunk int, fn func(idx, start, 
 			if c >= nc {
 				return
 			}
-			start := c * chunk
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			fn(c, start, end)
+			fn(c, c*chunk, min(c*chunk+chunk, n))
 		}
 	}
-	if workers > nc {
-		workers = nc
-	}
+	workers = min(workers, nc)
 	var wg sync.WaitGroup
-	if workers > 1 && slots != nil {
-		for i := 0; i < workers-1; i++ {
-			select {
-			case slots <- struct{}{}:
-			default:
-				i = workers // pool exhausted; run with what we have
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-slots }()
-				work()
-			}()
+	for i := 0; i < workers-1; i++ {
+		select {
+		case slots <- struct{}{}:
+		default:
+			i = workers // pool exhausted; run with what we have
+			continue
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			work()
+		}()
 	}
 	work()
 	wg.Wait()
 }
 
-// firstError returns the error from the lowest-indexed chunk, matching the
-// first error the sequential executor would have reported.
+// firstError returns the error from the lowest-indexed chunk: the first
+// error in row order, whatever the worker count.
 func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
@@ -185,10 +179,9 @@ func (b *boundColRef) String() string { return b.orig.String() }
 
 // resolveEnvCol mirrors Env.Lookup's resolution rules against a fixed
 // column layout: qualified references take the first matching column;
-// unqualified references must be unambiguous. Returns false whenever the
-// sequential path would consult the outer env or report an error, so the
-// caller falls back and semantics stay identical.
-func resolveEnvCol(c *ColumnRef, cols []envCol) (int, bool) {
+// unqualified references must be unambiguous. It returns -1 whenever
+// Env.Lookup would consult the outer env or report an error.
+func resolveEnvCol(c *ColumnRef, cols []envCol) int {
 	table := strings.ToLower(c.Table)
 	name := strings.ToLower(c.Name)
 	idx := -1
@@ -201,228 +194,225 @@ func resolveEnvCol(c *ColumnRef, cols []envCol) (int, bool) {
 		}
 		if idx >= 0 {
 			if table == "" {
-				return 0, false // ambiguous
+				return -1 // ambiguous
 			}
 			continue // qualified: first match wins
 		}
 		idx = i
 	}
-	if idx < 0 {
-		return 0, false // unknown here; may exist in an outer env
-	}
-	return idx, true
+	return idx
 }
 
-// bindExpr clones e with every column reference resolved to a positional
-// index for the given column layout. It refuses anything that is not safe
-// or not meaningful to evaluate concurrently: subqueries (they execute
-// through the session), aggregate calls (the per-group value map is keyed
-// by the original node pointer), and references it cannot resolve locally.
-// ok=false means the caller must use the sequential path.
-func bindExpr(e Expr, cols []envCol) (Expr, bool) {
+// binder binds the expressions of one operator against its input layout
+// and records whether any of them kept a subquery (see Session.fanout).
+type binder struct {
+	cols     []envCol
+	subquery bool
+	// keep leaves expressions unbound: over at most one input row each is
+	// evaluated at most once, so binding would cost more than the name
+	// lookups it saves. Such an input never fans out, so the subquery flag
+	// is not needed either.
+	keep bool
+}
+
+// newBinder returns the binder for an operator that evaluates its
+// expressions over n input rows laid out as cols.
+func newBinder(cols []envCol, n int) binder {
+	return binder{cols: cols, keep: n <= 1}
+}
+
+// bindExpr clones e with every column reference that resolves against the
+// binder's layout replaced by a positional index. Whatever it cannot bind it
+// keeps, so evaluation semantics never change:
+//   - a reference that does not resolve locally (ambiguous, unknown, or an
+//     outer-row column) stays the original *ColumnRef, and Env.Lookup
+//     resolves or reports it per row;
+//   - an aggregate call keeps its original node, the key of Env.agg;
+//   - a subquery is kept whole and runs through the Env's session, with the
+//     evaluating Env as its outer row.
+func (b *binder) bindExpr(e Expr) Expr {
+	if b.keep {
+		return e
+	}
 	switch x := e.(type) {
-	case nil:
-		return nil, true
-	case *Literal:
-		return x, true
 	case *ColumnRef:
-		idx, ok := resolveEnvCol(x, cols)
-		if !ok {
-			return nil, false
+		if idx := resolveEnvCol(x, b.cols); idx >= 0 {
+			return &boundColRef{idx: idx, orig: x}
 		}
-		return &boundColRef{idx: idx, orig: x}, true
+	case *SubqueryExpr:
+		b.subquery = true
 	case *BinaryExpr:
-		l, ok := bindExpr(x.Left, cols)
-		if !ok {
-			return nil, false
-		}
-		r, ok := bindExpr(x.Right, cols)
-		if !ok {
-			return nil, false
-		}
-		return &BinaryExpr{Op: x.Op, Left: l, Right: r}, true
+		return &BinaryExpr{Op: x.Op, Left: b.bindExpr(x.Left), Right: b.bindExpr(x.Right)}
 	case *UnaryExpr:
-		op, ok := bindExpr(x.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		return &UnaryExpr{Op: x.Op, Operand: op}, true
+		return &UnaryExpr{Op: x.Op, Operand: b.bindExpr(x.Operand)}
 	case *FuncExpr:
-		if x.IsAggregate() {
-			return nil, false
+		if !x.IsAggregate() {
+			return &FuncExpr{Name: x.Name, Args: b.bindExprs(x.Args), Star: x.Star, Distinct: x.Distinct}
 		}
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			b, ok := bindExpr(a, cols)
-			if !ok {
-				return nil, false
-			}
-			args[i] = b
-		}
-		return &FuncExpr{Name: x.Name, Args: args, Star: x.Star, Distinct: x.Distinct}, true
 	case *InExpr:
-		if x.Subquery != nil {
-			return nil, false
-		}
-		op, ok := bindExpr(x.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		list := make([]Expr, len(x.List))
-		for i, a := range x.List {
-			b, ok := bindExpr(a, cols)
-			if !ok {
-				return nil, false
-			}
-			list[i] = b
-		}
-		return &InExpr{Operand: op, List: list, Not: x.Not}, true
+		b.subquery = b.subquery || x.Subquery != nil
+		return &InExpr{Operand: b.bindExpr(x.Operand), List: b.bindExprs(x.List), Subquery: x.Subquery, Not: x.Not}
 	case *BetweenExpr:
-		op, ok := bindExpr(x.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		lo, ok := bindExpr(x.Low, cols)
-		if !ok {
-			return nil, false
-		}
-		hi, ok := bindExpr(x.High, cols)
-		if !ok {
-			return nil, false
-		}
-		return &BetweenExpr{Operand: op, Low: lo, High: hi, Not: x.Not}, true
+		return &BetweenExpr{Operand: b.bindExpr(x.Operand), Low: b.bindExpr(x.Low), High: b.bindExpr(x.High), Not: x.Not}
 	case *LikeExpr:
-		op, ok := bindExpr(x.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		pat, ok := bindExpr(x.Pattern, cols)
-		if !ok {
-			return nil, false
-		}
-		return &LikeExpr{Operand: op, Pattern: pat, Not: x.Not}, true
+		return &LikeExpr{Operand: b.bindExpr(x.Operand), Pattern: b.bindExpr(x.Pattern), Not: x.Not}
 	case *IsNullExpr:
-		op, ok := bindExpr(x.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		return &IsNullExpr{Operand: op, Not: x.Not}, true
+		return &IsNullExpr{Operand: b.bindExpr(x.Operand), Not: x.Not}
+	case *CastExpr:
+		return &CastExpr{Operand: b.bindExpr(x.Operand), Target: x.Target}
 	case *CaseExpr:
-		out := &CaseExpr{Whens: make([]CaseWhen, len(x.Whens))}
+		out := &CaseExpr{Whens: make([]CaseWhen, len(x.Whens)), Else: b.bindExpr(x.Else)}
 		for i, w := range x.Whens {
-			cond, ok := bindExpr(w.Cond, cols)
-			if !ok {
-				return nil, false
-			}
-			res, ok := bindExpr(w.Result, cols)
-			if !ok {
-				return nil, false
-			}
-			out.Whens[i] = CaseWhen{Cond: cond, Result: res}
+			out.Whens[i] = CaseWhen{Cond: b.bindExpr(w.Cond), Result: b.bindExpr(w.Result)}
 		}
-		els, ok := bindExpr(x.Else, cols)
-		if !ok {
-			return nil, false
-		}
-		out.Else = els
-		return out, true
+		return out
 	}
-	// SubqueryExpr and anything this function does not know about.
-	return nil, false
+	return e
 }
 
-// parScanFilter is the fused parallel table scan: morsels of the heap are
-// visibility-checked against the statement snapshot and, when cond is
-// non-nil, filtered in the same pass. Returns handled=false when the scan
-// cannot run batched (view target, unbindable predicate), in which case the
-// caller uses the sequential path.
-func (s *Session) parScanFilter(scan *SeqScanNode, cond Expr) (*rowSet, bool, error) {
-	if s.forceSeqScan || s.noParallel || scan.cols == nil {
-		return nil, false, nil
+func (b *binder) bindExprs(es []Expr) []Expr {
+	if es == nil {
+		return nil
 	}
-	t, ok := s.engine.Table(scan.Table)
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = b.bindExpr(e)
+	}
+	return out
+}
+
+// scanTable reads the rows of a table visible to the statement snapshot and
+// keeps those that satisfy cond (nil keeps all), checking visibility and the
+// predicate in the same morsel pass so filtered-out rows never materialize.
+// A name that resolves to a view materializes the view and filters its
+// rows. visited is the number of rows read before the filter.
+func (s *Session) scanTable(name, alias string, cond Expr, outer *Env) (rs *rowSet, visited int, err error) {
+	t, ok := s.engine.Table(name)
 	if !ok {
-		return nil, false, nil
+		// Views expand to their stored query's result, aliased under the
+		// view's name (owner-style privileges: the outer statement needed
+		// SELECT on the view itself, not on its underlying tables).
+		v, isView := s.engine.ViewByName(name)
+		if !isView {
+			return nil, 0, &NotFoundError{Kind: "table", Name: name}
+		}
+		if rs, err = s.scanView(v, alias); err != nil {
+			return nil, 0, err
+		}
+		visited = len(rs.rows)
+		rs, err = s.applyFilter(cond, rs, outer)
+		return rs, visited, err
 	}
-	q := strings.ToLower(scan.Alias)
+	q := strings.ToLower(alias)
 	if q == "" {
-		q = strings.ToLower(scan.Table)
+		q = strings.ToLower(name)
 	}
 	cols := make([]string, 0, len(t.Columns))
 	for _, c := range t.Columns {
 		cols = append(cols, q+"."+strings.ToLower(c.Name))
 	}
-	envCols := toEnvCols(cols)
-	var bound Expr
-	if cond != nil {
-		b, ok := bindExpr(cond, envCols)
-		if !ok {
-			return nil, false, nil
-		}
-		bound = b
-	}
-	workers, _, slots := s.engine.parallelism()
 	//sqlvet:ignore mvccvisibility -- morsel fan-out snapshots the heap slice under the engine read lock and every row still goes through visible() below before it is emitted
-	rows := t.rows
+	heap := t.rows
 	sn := s.curView
-	nm := chunkCount(len(rows), morselSize)
+	b := newBinder(toEnvCols(cols), len(heap))
+	bound := b.bindExpr(cond)
+	workers, slots := s.fanout(t.RowCount(), b.subquery)
+	rows, visited, err := filterRows(s, b.cols, heap, func(e *rowEntry) ([]Value, bool) {
+		v := e.visible(sn)
+		if v == nil {
+			return nil, false
+		}
+		return v.vals, true
+	}, bound, outer, workers, slots)
+	s.engine.scanRowsVisited.Add(int64(visited))
+	if err != nil {
+		return nil, visited, err
+	}
+	return &rowSet{cols: cols, rows: rows, env: b.cols}, visited, nil
+}
+
+// applyFilter filters a rowSet by a predicate; a nil predicate passes rows
+// through unchanged.
+func (s *Session) applyFilter(cond Expr, src *rowSet, outer *Env) (*rowSet, error) {
+	if cond == nil {
+		return src, nil
+	}
+	b := newBinder(src.envCols(), len(src.rows))
+	bound := b.bindExpr(cond)
+	workers, slots := s.fanout(len(src.rows), b.subquery)
+	rows, _, err := filterRows(s, b.cols, src.rows, func(r []Value) ([]Value, bool) { return r, true }, bound, outer, workers, slots)
+	if err != nil {
+		return nil, err
+	}
+	return &rowSet{cols: src.cols, rows: rows, env: b.cols}, nil
+}
+
+// filterRows evaluates the bound predicate over the candidates in morsels
+// and keeps, in order, the rows for which it is true; a nil predicate keeps
+// every candidate. row yields a candidate's values, or false to skip it
+// uncounted. visited counts the candidates evaluated; on error it covers the
+// morsels read.
+func filterRows[T any](s *Session, envCols []envCol, in []T, row func(T) ([]Value, bool), bound Expr, outer *Env, workers int, slots chan struct{}) ([][]Value, int, error) {
+	// Each morsel's Env lives in its part, which saves an allocation per
+	// morsel; tiny inputs (point lookups) are one morsel.
 	type part struct {
 		out     [][]Value
-		visited int64
+		visited int
 		err     error
+		env     Env
 	}
-	parts := make([]part, nm)
-	runChunked(slots, workers, len(rows), morselSize, func(m, start, end int) {
+	parts := make([]part, chunkCount(len(in), morselSize))
+	runChunked(slots, workers, len(in), morselSize, func(m, start, end int) {
 		p := &parts[m]
-		buf := make([][]Value, 0, end-start)
-		env := &Env{cols: envCols, sess: s}
-		for _, entry := range rows[start:end] {
-			v := entry.visible(sn)
-			if v == nil {
+		p.out = make([][]Value, 0, end-start)
+		env := &p.env
+		*env = Env{cols: envCols, outer: outer, sess: s}
+		for _, cand := range in[start:end] {
+			vals, ok := row(cand)
+			if !ok {
 				continue
 			}
 			p.visited++
 			if bound != nil {
-				env.vals = v.vals
-				bv, err := bound.Eval(env)
+				env.vals = vals
+				v, err := bound.Eval(env)
 				if err != nil {
 					p.err = err
-					p.out = buf
 					return
 				}
-				if bv.IsNull() || !bv.Truthy() {
+				if v.IsNull() || !v.Truthy() {
 					continue
 				}
 			}
-			buf = append(buf, v.vals)
+			p.out = append(p.out, vals)
 		}
-		p.out = buf
 	})
-	var visited, total int64
-	var firstErr error
+	var visited, total int
+	var err error
 	for i := range parts {
 		visited += parts[i].visited
-		total += int64(len(parts[i].out))
-		if firstErr == nil && parts[i].err != nil {
-			firstErr = parts[i].err
+		total += len(parts[i].out)
+		if err == nil {
+			err = parts[i].err
 		}
 	}
-	s.engine.scanRowsVisited.Add(visited)
-	if firstErr != nil {
-		return nil, true, firstErr
+	if err != nil {
+		return nil, visited, err
 	}
-	// Centralized preallocation: one exact-size result buffer built from the
-	// per-morsel counts, instead of per-node growth.
+	if len(parts) == 1 {
+		return parts[0].out, visited, nil
+	}
+	// One exact-size result buffer built from the per-morsel counts.
 	out := make([][]Value, 0, total)
 	for i := range parts {
 		out = append(out, parts[i].out...)
 	}
-	return &rowSet{cols: cols, rows: out}, true, nil
+	return out, visited, nil
 }
 
 // appendKeySegment appends one value to a composite hash key using the same
 // length-prefixed encoding as writeKeySegment, but into a reusable byte
-// buffer so workers do not allocate a strings.Builder per row.
+// buffer so morsels do not allocate a strings.Builder per row.
 func appendKeySegment(buf []byte, v Value) []byte {
 	k := v.Key()
 	buf = strconv.AppendInt(buf, int64(len(k)), 10)
@@ -430,13 +420,13 @@ func appendKeySegment(buf []byte, v Value) []byte {
 	return append(buf, k...)
 }
 
-// parGroupKeys evaluates the bound GROUP BY expressions over every row in
-// parallel and returns one composite key per row.
-func parGroupKeys(exprs []Expr, envCols []envCol, rows [][]Value, workers int, slots chan struct{}) ([]string, error) {
+// groupKeys evaluates the bound GROUP BY expressions over every row in
+// morsels and returns one composite key per row.
+func (s *Session) groupKeys(exprs []Expr, envCols []envCol, rows [][]Value, outer *Env, workers int, slots chan struct{}) ([]string, error) {
 	keys := make([]string, len(rows))
 	errs := make([]error, chunkCount(len(rows), morselSize))
 	runChunked(slots, workers, len(rows), morselSize, func(m, start, end int) {
-		env := &Env{cols: envCols}
+		env := &Env{cols: envCols, outer: outer, sess: s}
 		var buf []byte
 		for i := start; i < end; i++ {
 			buf = buf[:0]
@@ -455,9 +445,9 @@ func parGroupKeys(exprs []Expr, envCols []envCol, rows [][]Value, workers int, s
 	return keys, firstError(errs)
 }
 
-// parValueKeys computes rows[i][col].Key() for every row in parallel; the
+// valueKeys computes rows[i][col].Key() for every row in morsels; the
 // hash-join build and probe sides use it to precompute join keys.
-func parValueKeys(rows [][]Value, col, workers int, slots chan struct{}) []string {
+func valueKeys(rows [][]Value, col, workers int, slots chan struct{}) []string {
 	keys := make([]string, len(rows))
 	runChunked(slots, workers, len(rows), morselSize, func(_, start, end int) {
 		for i := start; i < end; i++ {
@@ -467,86 +457,68 @@ func parValueKeys(rows [][]Value, col, workers int, slots chan struct{}) []strin
 	return keys
 }
 
-// parDistinctKeys computes the composite dedup key for every output row in
-// parallel; the sequential dedup loop then consumes the precomputed keys.
-func parDistinctKeys(rows [][]Value, workers int, slots chan struct{}) []string {
-	keys := make([]string, len(rows))
-	runChunked(slots, workers, len(rows), morselSize, func(_, start, end int) {
-		var buf []byte
-		for i := start; i < end; i++ {
-			buf = buf[:0]
-			for _, v := range rows[i] {
-				buf = appendKeySegment(buf, v)
-			}
-			keys[i] = string(buf)
-		}
-	})
-	return keys
+type groupResult struct {
+	firstRow []Value
+	rows     [][]Value
+	agg      map[Expr]Value
 }
 
-// parGroupRows is the batched GROUP BY: group keys are computed over the
-// input in parallel morsels, the hash build itself runs sequentially over
-// the precomputed keys (preserving first-appearance group order and
-// within-group row order), and per-group aggregates are then computed in
-// parallel across groups. handled=false means some expression could not be
-// bound (subquery, outer reference, nested aggregate) and the caller must
-// run the row-at-a-time path.
-func (s *Session) parGroupRows(st *SelectStmt, src *rowSet, outer *Env) ([]*groupResult, bool, error) {
-	workers, slots, ok := s.parallelEligible(len(src.rows), outer)
-	if !ok {
-		return nil, false, nil
-	}
-	envCols := toEnvCols(src.cols)
-	groupExprs := make([]Expr, len(st.GroupBy))
-	for i, ge := range st.GroupBy {
-		b, ok := bindExpr(ge, envCols)
-		if !ok {
-			return nil, false, nil
-		}
-		groupExprs[i] = b
-	}
+// groupRows partitions rows by the GROUP BY keys and computes every
+// aggregate node once per group. Group keys are computed over the input in
+// morsels; the hash build runs sequentially over the precomputed keys
+// (preserving first-appearance group order and within-group row order);
+// per-group aggregates are then computed across groups. Without GROUP BY
+// the whole input is one group — also when it is empty, so SELECT COUNT(*)
+// FROM empty yields one row.
+func (s *Session) groupRows(st *SelectStmt, src *rowSet, outer *Env) ([]*groupResult, error) {
+	envCols := src.envCols()
+	b := newBinder(envCols, len(src.rows))
+	groupExprs := b.bindExprs(st.GroupBy)
 	aggNodes := collectAggNodes(st)
 	boundArgs := make([]Expr, len(aggNodes))
 	for i, f := range aggNodes {
-		if f.Star {
-			continue // COUNT(*): no argument to evaluate
+		if len(f.Args) == 1 {
+			boundArgs[i] = b.bindExpr(f.Args[0])
 		}
-		if len(f.Args) != 1 {
-			return nil, false, nil // sequential path reports the arity error
-		}
-		b, ok := bindExpr(f.Args[0], envCols)
-		if !ok {
-			return nil, false, nil
-		}
-		boundArgs[i] = b
 	}
+	workers, slots := s.fanout(len(src.rows), b.subquery)
 
-	keys, err := parGroupKeys(groupExprs, envCols, src.rows, workers, slots)
-	if err != nil {
-		return nil, true, err
-	}
-	keyed := map[string]*groupResult{}
-	var order []*groupResult
-	for i, vals := range src.rows {
-		k := keys[i]
-		g, ok := keyed[k]
-		if !ok {
-			g = &groupResult{firstRow: vals}
-			keyed[k] = g
-			order = append(order, g)
+	order := []*groupResult{} // non-nil: project treats the rows as groups
+	if len(st.GroupBy) == 0 {
+		g := &groupResult{rows: src.rows}
+		if len(src.rows) > 0 {
+			g.firstRow = src.rows[0]
+		} else {
+			g.firstRow = make([]Value, len(src.cols))
+			for i := range g.firstRow {
+				g.firstRow[i] = Null()
+			}
 		}
-		g.rows = append(g.rows, vals)
+		order = append(order, g)
+	} else {
+		keys, err := s.groupKeys(groupExprs, envCols, src.rows, outer, workers, slots)
+		if err != nil {
+			return nil, err
+		}
+		keyed := map[string]*groupResult{}
+		for i, vals := range src.rows {
+			g, ok := keyed[keys[i]]
+			if !ok {
+				g = &groupResult{firstRow: vals}
+				keyed[keys[i]] = g
+				order = append(order, g)
+			}
+			g.rows = append(g.rows, vals)
+		}
 	}
-	// The input has at least threshold (>0) rows here, so the empty-input
-	// one-group fallback of the sequential path cannot apply.
 
 	errs := make([]error, len(order))
 	runChunked(slots, workers, len(order), 1, func(gi, _, _ int) {
 		g := order[gi]
 		g.agg = make(map[Expr]Value, len(aggNodes))
-		env := &Env{cols: envCols}
+		env := &Env{cols: envCols, outer: outer, sess: s}
 		for i, f := range aggNodes {
-			v, err := computeAggregateBound(f, boundArgs[i], env, g.rows)
+			v, err := evalAggregate(f, boundArgs[i], env, g.rows)
 			if err != nil {
 				errs[gi] = err
 				return
@@ -555,21 +527,24 @@ func (s *Session) parGroupRows(st *SelectStmt, src *rowSet, outer *Env) ([]*grou
 		}
 	})
 	if err := firstError(errs); err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	return order, true, nil
+	return order, nil
 }
 
-// computeAggregateBound is the batched counterpart of computeAggregate: the
-// argument expression is already bound, and the env is reused across rows.
-// Values are collected in within-group row order, so float SUM/AVG results
-// are bit-identical to the sequential path.
-func computeAggregateBound(f *FuncExpr, arg Expr, env *Env, rows [][]Value) (Value, error) {
+// evalAggregate computes one aggregate over a group's rows: arg is the
+// call's bound argument, and env is reused across rows. Values are collected
+// in within-group row order, so float SUM/AVG results do not depend on the
+// worker count.
+func evalAggregate(f *FuncExpr, arg Expr, env *Env, rows [][]Value) (Value, error) {
 	if f.Star {
 		if f.Name != "COUNT" {
 			return Value{}, fmt.Errorf("%s(*) is not supported", f.Name)
 		}
 		return NewInt(int64(len(rows))), nil
+	}
+	if len(f.Args) != 1 {
+		return Value{}, fmt.Errorf("%s expects exactly one argument", f.Name)
 	}
 	var vals []Value
 	distinct := map[string]bool{}
@@ -594,89 +569,115 @@ func computeAggregateBound(f *FuncExpr, arg Expr, env *Env, rows [][]Value) (Val
 	return finishAggregate(f, vals)
 }
 
-// parProject is the batched projection: the select list is bound once
-// (star items become positional copy lists) and evaluated over the filtered
-// rows in parallel morsels. handled=false when an item cannot be bound or
-// the row count is below the threshold; the caller then projects
-// row-at-a-time.
-func (s *Session) parProject(items []SelectItem, src *rowSet, outer *Env) ([]string, [][]Value, bool, error) {
-	workers, slots, ok := s.parallelEligible(len(src.rows), outer)
-	if !ok {
-		return nil, nil, false, nil
+// project evaluates the select list over the input in morsels. Each output
+// row carries, after the select list, the values of extra: the ORDER BY
+// keys the sort stage cannot read off the output row. With groups non-nil
+// the input is one row per group — its first row, with the group's
+// aggregate values — and having drops groups before they are projected.
+func (s *Session) project(items []SelectItem, extra []Expr, having Expr, src *rowSet, groups []*groupResult, outer *Env) ([][]Value, error) {
+	n := len(src.rows)
+	if groups != nil {
+		n = len(groups)
 	}
-	envCols := toEnvCols(src.cols)
+	envCols := src.envCols()
+	b := newBinder(envCols, n)
 	type projItem struct {
-		star  bool
-		idxs  []int  // star: source positions to copy
-		bound Expr   // non-star: bound expression
-		name  string // non-star: output column name
+		idxs  []int // star: source positions to copy
+		bound Expr  // non-star: bound expression
 	}
-	plan := make([]projItem, len(items))
+	plan := make([]projItem, 0, len(items)+len(extra))
 	width := 0
-	for i, it := range items {
-		if it.Star {
-			var idxs []int
-			for j, q := range src.cols {
-				tbl, _ := splitQualified(q)
-				if it.Table != "" && !strings.EqualFold(tbl, it.Table) {
-					continue
-				}
-				idxs = append(idxs, j)
-			}
-			plan[i] = projItem{star: true, idxs: idxs}
-			width += len(idxs)
+	for _, it := range items {
+		if !it.Star {
+			plan = append(plan, projItem{bound: b.bindExpr(it.Expr)})
+			width++
 			continue
 		}
-		b, ok := bindExpr(it.Expr, envCols)
-		if !ok {
-			return nil, nil, false, nil
+		var idxs []int
+		for j, q := range src.cols {
+			tbl, _ := splitQualified(q)
+			if it.Table == "" || strings.EqualFold(tbl, it.Table) {
+				idxs = append(idxs, j)
+			}
 		}
-		plan[i] = projItem{bound: b, name: itemName(it)}
+		plan = append(plan, projItem{idxs: idxs})
+		width += len(idxs)
+	}
+	for _, e := range extra {
+		plan = append(plan, projItem{bound: b.bindExpr(e)})
 		width++
 	}
-	outCols, err := projectColsOnly(items, src.cols)
-	if err != nil {
-		return nil, nil, false, nil // let the sequential path report it
+	boundHaving := b.bindExpr(having)
+	workers, slots := s.fanout(n, b.subquery)
+	type part struct {
+		out [][]Value
+		err error
+		env Env // the morsel's Env, as in filterRows
 	}
-
-	outRows := make([][]Value, len(src.rows))
-	errs := make([]error, chunkCount(len(src.rows), morselSize))
-	runChunked(slots, workers, len(src.rows), morselSize, func(m, start, end int) {
-		env := &Env{cols: envCols}
+	parts := make([]part, chunkCount(n, morselSize))
+	runChunked(slots, workers, n, morselSize, func(m, start, end int) {
+		p := &parts[m]
+		p.out = make([][]Value, 0, end-start)
+		env := &p.env
+		*env = Env{cols: envCols, outer: outer, sess: s}
 		for i := start; i < end; i++ {
-			vals := src.rows[i]
-			env.vals = vals
+			if groups != nil {
+				env.vals, env.agg = groups[i].firstRow, groups[i].agg
+			} else {
+				env.vals = src.rows[i]
+			}
+			if boundHaving != nil {
+				hv, err := boundHaving.Eval(env)
+				if err != nil {
+					p.err = err
+					return
+				}
+				if hv.IsNull() || !hv.Truthy() {
+					continue
+				}
+			}
 			row := make([]Value, 0, width)
-			for _, p := range plan {
-				if p.star {
-					for _, j := range p.idxs {
-						row = append(row, vals[j])
+			for _, pi := range plan {
+				if pi.bound == nil {
+					for _, j := range pi.idxs {
+						row = append(row, env.vals[j])
 					}
 					continue
 				}
-				v, err := p.bound.Eval(env)
+				v, err := pi.bound.Eval(env)
 				if err != nil {
-					errs[m] = err
+					p.err = err
 					return
 				}
 				row = append(row, v)
 			}
-			outRows[i] = row
+			p.out = append(p.out, row)
 		}
 	})
-	if err := firstError(errs); err != nil {
-		return nil, nil, true, err
+	total := 0
+	for i := range parts {
+		if parts[i].err != nil {
+			return nil, parts[i].err
+		}
+		total += len(parts[i].out)
 	}
-	return outCols, outRows, true, nil
+	if len(parts) == 1 {
+		return parts[0].out, nil
+	}
+	out := make([][]Value, 0, total)
+	for i := range parts {
+		out = append(out, parts[i].out...)
+	}
+	return out, nil
 }
 
-// parHashJoin is the parallel equi-join: join keys for both sides are
-// computed in morsels, the hash table is built sequentially from the
-// precomputed build-side keys (preserving bucket order), and the probe side
-// is scanned in morsels with per-morsel output buffers concatenated in
-// morsel order. Row order matches the sequential hash join exactly.
-func parHashJoin(out *rowSet, left, right *rowSet, li, ri, workers int, slots chan struct{}) *rowSet {
-	rkeys := parValueKeys(right.rows, ri, workers, slots)
+// hashJoin is the equi-join: join keys for both sides are computed in
+// morsels, the hash table is built sequentially from the precomputed
+// build-side keys (preserving bucket order, one shared index arena instead
+// of a slice per key), and the probe side is scanned in morsels with
+// per-morsel output buffers concatenated in morsel order.
+func hashJoin(out *rowSet, left, right *rowSet, li, ri, workers int, slots chan struct{}) *rowSet {
+	rkeys := valueKeys(right.rows, ri, workers, slots)
 	ht := make(map[string][]int, len(right.rows))
 	arena := make([]int, 0, len(right.rows))
 	for idx := range right.rows {
@@ -685,10 +686,10 @@ func parHashJoin(out *rowSet, left, right *rowSet, li, ri, workers int, slots ch
 			ht[k] = append(b, idx)
 		} else {
 			arena = append(arena, idx)
-			ht[k] = arena[len(arena)-1 : len(arena):len(arena)]
+			ht[k] = arena[len(arena)-1 : len(arena) : len(arena)]
 		}
 	}
-	lkeys := parValueKeys(left.rows, li, workers, slots)
+	lkeys := valueKeys(left.rows, li, workers, slots)
 	parts := make([][][]Value, chunkCount(len(left.rows), morselSize))
 	runChunked(slots, workers, len(left.rows), morselSize, func(m, start, end int) {
 		var buf [][]Value
@@ -714,6 +715,34 @@ func parHashJoin(out *rowSet, left, right *rowSet, li, ri, workers int, slots ch
 	out.rows = make([][]Value, 0, total)
 	for _, p := range parts {
 		out.rows = append(out.rows, p...)
+	}
+	return out
+}
+
+// distinctRows drops rows whose first width values repeat an earlier row's,
+// keeping first appearances in order. The composite keys are computed in
+// morsels; the dedup loop consumes them sequentially.
+func (s *Session) distinctRows(rows [][]Value, width int) [][]Value {
+	workers, slots := s.fanout(len(rows), false)
+	keys := make([]string, len(rows))
+	runChunked(slots, workers, len(rows), morselSize, func(_, start, end int) {
+		var buf []byte
+		for i := start; i < end; i++ {
+			buf = buf[:0]
+			for _, v := range rows[i][:width] {
+				buf = appendKeySegment(buf, v)
+			}
+			keys[i] = string(buf)
+		}
+	})
+	seen := make(map[string]bool, len(rows))
+	out := rows[:0]
+	for i, row := range rows {
+		if seen[keys[i]] {
+			continue
+		}
+		seen[keys[i]] = true
+		out = append(out, row)
 	}
 	return out
 }

@@ -7,12 +7,12 @@ import (
 )
 
 // benchParallelEngine builds a 40k-row fact table and a 64-row dimension
-// table with 4 workers configured, plus a sequential (batched-off) session
-// for baselines.
-func benchParallelEngine(b *testing.B) (par, seq *Session) {
+// table on an engine with the given worker count. The SequentialBaseline
+// benches run the same batched executor with one worker.
+func benchParallelEngine(b *testing.B, workers int) *Session {
 	b.Helper()
 	e := NewEngine("parbench")
-	e.SetParallelism(4, 1024)
+	e.SetParallelism(workers, 1024)
 	s := e.NewSession("root")
 	s.MustExec("CREATE TABLE big (id INT PRIMARY KEY, grp INT, val REAL)")
 	s.MustExec("CREATE TABLE dim (id INT PRIMARY KEY, label TEXT)")
@@ -30,9 +30,7 @@ func benchParallelEngine(b *testing.B) (par, seq *Session) {
 		dims = append(dims, fmt.Sprintf("(%d, 'g%d')", i, i))
 	}
 	s.MustExec("INSERT INTO dim VALUES " + strings.Join(dims, ", "))
-	seq = e.NewSession("root")
-	seq.SetParallel(false)
-	return s, seq
+	return s
 }
 
 func benchQuery(b *testing.B, s *Session, sql string) {
@@ -56,31 +54,28 @@ const (
 )
 
 func BenchmarkParallelSeqScan(b *testing.B) {
-	par, _ := benchParallelEngine(b)
-	benchQuery(b, par, parScanQuery)
+	benchQuery(b, benchParallelEngine(b, 4), parScanQuery)
 }
 
+// BenchmarkParallelSeqScanSequentialBaseline: batched, one worker.
 func BenchmarkParallelSeqScanSequentialBaseline(b *testing.B) {
-	_, seq := benchParallelEngine(b)
-	benchQuery(b, seq, parScanQuery)
+	benchQuery(b, benchParallelEngine(b, 1), parScanQuery)
 }
 
 func BenchmarkParallelGroupBy(b *testing.B) {
-	par, _ := benchParallelEngine(b)
-	benchQuery(b, par, parGroupQuery)
+	benchQuery(b, benchParallelEngine(b, 4), parGroupQuery)
 }
 
+// BenchmarkParallelGroupBySequentialBaseline: batched, one worker.
 func BenchmarkParallelGroupBySequentialBaseline(b *testing.B) {
-	_, seq := benchParallelEngine(b)
-	benchQuery(b, seq, parGroupQuery)
+	benchQuery(b, benchParallelEngine(b, 1), parGroupQuery)
 }
 
 func BenchmarkParallelHashJoin(b *testing.B) {
-	par, _ := benchParallelEngine(b)
-	benchQuery(b, par, parJoinQuery)
+	benchQuery(b, benchParallelEngine(b, 4), parJoinQuery)
 }
 
+// BenchmarkParallelHashJoinSequentialBaseline: batched, one worker.
 func BenchmarkParallelHashJoinSequentialBaseline(b *testing.B) {
-	_, seq := benchParallelEngine(b)
-	benchQuery(b, seq, parJoinQuery)
+	benchQuery(b, benchParallelEngine(b, 1), parJoinQuery)
 }

@@ -8,16 +8,19 @@ import (
 	"testing"
 )
 
-// newParallelEngine builds an engine with aggressive parallel settings (4
-// workers, 64-row threshold so modest test tables exercise the morsel paths)
-// and two randomized tables.
-func newParallelEngine(t testing.TB, seed int64) *Engine {
+// newParallelEngine builds an engine with the given worker count and a
+// 64-row threshold (so modest test tables exercise the multi-worker paths),
+// two randomized tables, a small fixed one, and an empty one.
+func newParallelEngine(t testing.TB, seed int64, workers int) *Engine {
 	t.Helper()
 	e := NewEngine("partest")
-	e.SetParallelism(4, 64)
+	e.SetParallelism(workers, 64)
 	s := e.NewSession("root")
 	s.MustExec("CREATE TABLE t1 (id INT PRIMARY KEY, grp INT, val REAL, name TEXT)")
 	s.MustExec("CREATE TABLE t2 (id INT PRIMARY KEY, grp INT, tag TEXT)")
+	s.MustExec("CREATE TABLE small (id INT PRIMARY KEY, k INT)")
+	s.MustExec("CREATE TABLE empty (id INT PRIMARY KEY, g INT, v INT)")
+	insertBatch(s, "small", 40, func(i int) string { return fmt.Sprintf("(%d, %d)", i, i%7) })
 	rng := rand.New(rand.NewSource(seed))
 	names := []string{"'alpha'", "'beta'", "'gamma'", "'delta'", "NULL"}
 	tags := []string{"'x'", "'y'", "'z'", "NULL"}
@@ -28,6 +31,12 @@ func newParallelEngine(t testing.TB, seed int64) *Engine {
 		return fmt.Sprintf("(%d, %d, %s)", i, rng.Intn(20), tags[rng.Intn(len(tags))])
 	})
 	return e
+}
+
+// newEnginePair builds the same seeded data on a one-worker and a
+// four-worker engine.
+func newEnginePair(t testing.TB, seed int64) (one, four *Engine) {
+	return newParallelEngine(t, seed, 1), newParallelEngine(t, seed, 4)
 }
 
 func insertBatch(s *Session, table string, n int, row func(i int) string) {
@@ -45,10 +54,12 @@ func insertBatch(s *Session, table string, n int, row func(i int) string) {
 	}
 }
 
-// equivalenceQueries covers every operator the batched path touches —
-// filters (including expressions the binder must clone correctly), joins,
-// GROUP BY/HAVING/aggregates, DISTINCT, ORDER BY both pushed and unpushed,
-// and subquery predicates that must fall back to the sequential path.
+// equivalenceQueries covers every operator of the executor — filters
+// (including expressions the binder must clone correctly), joins, GROUP
+// BY/HAVING/aggregates, DISTINCT, ORDER BY both pushed and unpushed — plus
+// the shapes that keep an operator on one worker or reach outside the
+// operator's input: subqueries, correlated references, aggregate slots,
+// sort keys that are not projected, empty inputs, and error cases.
 var equivalenceQueries = []string{
 	"SELECT * FROM t1 WHERE val < 500.0",
 	"SELECT id, val * 2 + 1 FROM t1 WHERE grp % 3 = 1 AND name IS NOT NULL",
@@ -56,6 +67,7 @@ var equivalenceQueries = []string{
 	"SELECT id FROM t1 WHERE grp IN (1, 2, 3) AND val BETWEEN 100.0 AND 400.0",
 	"SELECT UPPER(name), LENGTH(name) FROM t1 WHERE name IS NOT NULL AND grp < 10",
 	"SELECT CASE WHEN val < 500.0 THEN 'lo' ELSE 'hi' END, id FROM t1 WHERE grp = 4",
+	"SELECT CAST(val AS INT), id FROM t1 WHERE CAST(grp AS TEXT) = '5'",
 	"SELECT id + val FROM t1",
 	"SELECT grp, COUNT(*), SUM(val), AVG(val), MIN(val), MAX(name) FROM t1 GROUP BY grp HAVING COUNT(*) > 3",
 	"SELECT COUNT(DISTINCT grp) FROM t1",
@@ -70,72 +82,97 @@ var equivalenceQueries = []string{
 	"SELECT id, val FROM t1 WHERE val < 300.0 ORDER BY val DESC LIMIT 7",
 	"SELECT grp, val FROM t1 WHERE id IN (SELECT id FROM t2 WHERE tag IS NOT NULL) ORDER BY grp, val LIMIT 25",
 	"SELECT val FROM t1 ORDER BY 1 LIMIT 10",
+	// Correlated scalar subquery in the select list.
+	"SELECT id, (SELECT COUNT(*) FROM t2 WHERE t2.grp = t1.grp) FROM t1 WHERE id < 100",
+	// Correlated IN (SELECT ...).
+	"SELECT id FROM t1 WHERE id < 400 AND grp IN (SELECT grp FROM t2 WHERE t2.id = t1.id)",
+	// Uncorrelated scalar subquery in WHERE.
+	"SELECT id, val FROM t1 WHERE grp = 3 AND val > (SELECT AVG(k) * 100.0 FROM small)",
+	// HAVING on an aggregate that is not selected.
+	"SELECT grp FROM t1 GROUP BY grp HAVING AVG(val) > 500.0",
+	// ORDER BY a column that is not projected, with and without DISTINCT.
+	"SELECT name FROM t1 WHERE grp = 2 ORDER BY val, id",
+	"SELECT DISTINCT name FROM t1 WHERE grp = 2 ORDER BY val",
+	"SELECT DISTINCT grp FROM t1 ORDER BY id DESC",
+	// ORDER BY an aggregate.
+	"SELECT grp FROM t1 GROUP BY grp ORDER BY COUNT(*), grp",
+	// Aggregates over an empty table, with and without GROUP BY.
+	"SELECT COUNT(*), SUM(v) FROM empty",
+	"SELECT g, COUNT(*), SUM(v) FROM empty GROUP BY g",
+	// Non-equi LEFT JOIN: the nested loop.
+	"SELECT small.id, t2.id FROM small LEFT JOIN t2 ON t2.id < small.id - 30 AND t2.grp = small.k",
+	// FROM-less SELECT.
+	"SELECT 1 + 2, UPPER('x')",
+	// Errors: the first one in row order must win on every executor.
+	"SELECT id FROM t1 JOIN t2 ON t1.grp = t2.grp WHERE t2.id < 5",
+	"SELECT nope FROM empty",
+	"SELECT nope FROM t1",
+	"SELECT SUM(val, grp) FROM t1",
+	"SELECT MAX(*) FROM t1",
+	"SELECT SUM(name) FROM t1",
+	"SELECT id / (grp - grp) FROM t1",
+	"SELECT id FROM t1 WHERE id = (SELECT id FROM t2)",
+	"SELECT id FROM t1 ORDER BY 3",
 }
 
-// TestParallelSequentialEquivalence runs every query three ways — parallel
-// (default session), batched-off (SetParallel(false)), and the forced
-// seq-scan baseline — and requires identical columns and rows. Run with
-// -race this doubles as the data-race check on the morsel workers.
+// TestParallelSequentialEquivalence runs every query three ways — on a
+// one-worker engine, on a four-worker engine with the same data, and on a
+// forced seq-scan session of the four-worker engine — and requires identical
+// columns, rows, and error text. Run with -race this doubles as the
+// data-race check on the morsel workers.
 func TestParallelSequentialEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
-		e := newParallelEngine(t, seed)
-		par := e.NewSession("root")
-		seq := e.NewSession("root")
-		seq.SetParallel(false)
-		forced := e.NewSession("root")
+		one, four := newEnginePair(t, seed)
+		seq := one.NewSession("root")
+		par := four.NewSession("root")
+		forced := four.NewSession("root")
 		forced.forceSeqScan = true
 		for _, q := range equivalenceQueries {
 			want, wantErr := seq.Exec(q)
-			got, gotErr := par.Exec(q)
-			fres, ferr := forced.Exec(q)
-			if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
-				t.Fatalf("seed %d query %q: parallel err %v, sequential err %v", seed, q, gotErr, wantErr)
-			}
-			if wantErr != nil {
-				continue
-			}
-			if ferr != nil {
-				t.Fatalf("seed %d query %q: forced err %v", seed, q, ferr)
-			}
-			if !reflect.DeepEqual(got.Columns, want.Columns) {
-				t.Fatalf("seed %d query %q: columns %v != %v", seed, q, got.Columns, want.Columns)
-			}
-			if !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("seed %d query %q: %d parallel rows != %d sequential rows", seed, q, len(got.Rows), len(want.Rows))
-			}
-			if !reflect.DeepEqual(got.Rows, fres.Rows) {
-				t.Fatalf("seed %d query %q: parallel rows differ from forced seq-scan rows", seed, q)
+			for _, run := range []struct {
+				name string
+				s    *Session
+			}{{"four-worker", par}, {"forced seq-scan", forced}} {
+				got, gotErr := run.s.Exec(q)
+				if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+					t.Fatalf("seed %d query %q: %s err %v, one-worker err %v", seed, q, run.name, gotErr, wantErr)
+				}
+				if wantErr != nil {
+					continue
+				}
+				if !reflect.DeepEqual(got.Columns, want.Columns) {
+					t.Fatalf("seed %d query %q: %s columns %v != %v", seed, q, run.name, got.Columns, want.Columns)
+				}
+				if !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("seed %d query %q: %d %s rows != %d one-worker rows", seed, q, len(got.Rows), run.name, len(want.Rows))
+				}
 			}
 		}
 	}
 }
 
 // TestParallelErrorEquivalence: a predicate that errors mid-scan must report
-// the same error on both paths (the parallel scan returns the lowest-morsel
-// error, which is the first one the sequential scan would hit).
+// the same error at any worker count (the multi-worker scan returns the
+// lowest-morsel error, which is the first one in row order).
 func TestParallelErrorEquivalence(t *testing.T) {
-	e := newParallelEngine(t, 7)
-	par := e.NewSession("root")
-	seq := e.NewSession("root")
-	seq.SetParallel(false)
+	one, four := newEnginePair(t, 7)
 	q := "SELECT id FROM t1 WHERE val / (id - 10) > 1.0"
-	_, wantErr := seq.Exec(q)
-	_, gotErr := par.Exec(q)
+	_, wantErr := one.NewSession("root").Exec(q)
+	_, gotErr := four.NewSession("root").Exec(q)
 	if wantErr == nil || gotErr == nil {
-		t.Fatalf("both paths should error: parallel %v, sequential %v", gotErr, wantErr)
+		t.Fatalf("both engines should error: four-worker %v, one-worker %v", gotErr, wantErr)
 	}
 	if wantErr.Error() != gotErr.Error() {
-		t.Fatalf("error mismatch: parallel %q, sequential %q", gotErr, wantErr)
+		t.Fatalf("error mismatch: four-worker %q, one-worker %q", gotErr, wantErr)
 	}
 }
 
 // TestParallelExplain checks the planner's gating: a big table renders a
-// Parallel Seq Scan with the worker count, a small table and a
-// parallelism-off session stay sequential, and ORDER BY pushdown (ordered
-// index scan) never parallelizes.
+// Parallel Seq Scan with the worker count, while a small table, a
+// one-worker engine, and ORDER BY pushdown (ordered index scan) never do.
 func TestParallelExplain(t *testing.T) {
-	e := newParallelEngine(t, 3)
-	s := e.NewSession("root")
+	one, four := newEnginePair(t, 3)
+	s := four.NewSession("root")
 	s.MustExec("CREATE TABLE tiny (id INT PRIMARY KEY, v INT)")
 	s.MustExec("INSERT INTO tiny VALUES (1, 10), (2, 20)")
 
@@ -152,18 +189,16 @@ func TestParallelExplain(t *testing.T) {
 		t.Fatalf("ordered (pushed-down) scan must stay sequential:\n%s", text)
 	}
 
-	off := e.NewSession("root")
-	off.SetParallel(false)
-	text = off.MustExec("EXPLAIN SELECT * FROM t1 WHERE val < 10.0").Text()
+	text = one.NewSession("root").MustExec("EXPLAIN SELECT * FROM t1 WHERE val < 10.0").Text()
 	if strings.Contains(text, "Parallel") {
-		t.Fatalf("session with parallelism off should plan sequential scans:\n%s", text)
+		t.Fatalf("one-worker engine should plan sequential scans:\n%s", text)
 	}
 }
 
-// TestParallelScanCountsVisitedRows: the fused morsel scan must keep the
-// scan-rows accounting of the sequential path (visible rows, pre-filter).
+// TestParallelScanCountsVisitedRows: the fused morsel scan counts visible
+// rows read, before the filter.
 func TestParallelScanCountsVisitedRows(t *testing.T) {
-	e := newParallelEngine(t, 11)
+	e := newParallelEngine(t, 11, 4)
 	s := e.NewSession("root")
 	before := e.ScanRowsVisited()
 	s.MustExec("SELECT COUNT(*) FROM t1 WHERE val < 1.0")

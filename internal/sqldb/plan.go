@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -38,9 +39,10 @@ type SourceNode interface {
 type SeqScanNode struct {
 	Table string
 	Alias string
-	// Workers > 0 marks the scan for the batched/morsel path; > 1 also
-	// renders as a Parallel Seq Scan in EXPLAIN. The planner sets it from
-	// the engine's parallelism settings and a row-count threshold.
+	// Workers > 1 renders as a Parallel Seq Scan in EXPLAIN. The planner
+	// sets it from the engine's worker count when the table clears the row
+	// threshold, the rule the scan applies again when it runs (see
+	// Session.fanout).
 	Workers int
 	cols    []string // nil when the name is not a base table at plan time
 }
@@ -63,12 +65,8 @@ func (n *SeqScanNode) Children() []PlanNode { return nil }
 func (n *SeqScanNode) staticCols() []string { return n.cols }
 
 func (n *SeqScanNode) run(s *Session, outer *Env) (*rowSet, error) {
-	if n.Workers > 0 && outer == nil {
-		if rs, handled, err := s.parScanFilter(n, nil); handled {
-			return rs, err
-		}
-	}
-	return s.scanTable(n.Table, n.Alias)
+	rs, _, err := s.scanTable(n.Table, n.Alias, nil, outer)
+	return rs, err
 }
 
 // ViewScanNode materializes a stored view. Its output columns are only known
@@ -134,12 +132,18 @@ func (n *IndexScanNode) run(s *Session, outer *Env) (*rowSet, error) {
 	if !usable {
 		// The access path disappeared between plan and execution (e.g. a
 		// replan against a changed catalog); fall back to a full scan.
-		return s.scanTable(n.Table, n.Alias)
+		rs, _, err := s.scanTable(n.Table, n.Alias, nil, outer)
+		return rs, err
 	}
 	rs := &rowSet{cols: n.cols, rows: make([][]Value, 0, len(ids))}
-	// Preserve insertion order for determinism.
-	sorted := append([]int64{}, ids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	// Preserve insertion (id) order for determinism. Buckets are
+	// swap-deleted, but a primary-key bucket almost always holds one id, so
+	// only longer buckets pay for the copy and sort.
+	sorted := ids
+	if len(ids) > 1 {
+		sorted = slices.Clone(ids)
+		slices.Sort(sorted)
+	}
 	want := n.Val.Key()
 	for _, id := range sorted {
 		e, ok := t.byID[id]
@@ -266,7 +270,7 @@ func (n *IndexRangeScanNode) run(s *Session, outer *Env) (*rowSet, error) {
 		// its re-check filter) and re-sorting when the plan promised an
 		// order. Only the MaxRows cutoff is skipped, which over- rather than
 		// under-produces; LIMIT/OFFSET still apply downstream.
-		rs, err := s.scanTable(n.Table, n.Alias)
+		rs, _, err := s.scanTable(n.Table, n.Alias, nil, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -315,12 +319,16 @@ func (n *FilterNode) Children() []PlanNode { return []PlanNode{n.Input} }
 func (n *FilterNode) staticCols() []string { return n.Input.staticCols() }
 
 func (n *FilterNode) run(s *Session, outer *Env) (*rowSet, error) {
-	// Fuse filter into a parallel scan: visibility check and predicate run
-	// in the same morsel pass, so filtered rows never materialize.
-	if scan, ok := n.Input.(*SeqScanNode); ok && scan.Workers > 0 && outer == nil {
-		if rs, handled, err := s.parScanFilter(scan, n.Cond); handled {
-			return rs, err
+	// Fuse the filter into the scan: visibility check and predicate run in
+	// the same morsel pass, so filtered rows never materialize. The scan
+	// node still reports its own actuals to EXPLAIN ANALYZE.
+	if scan, ok := n.Input.(*SeqScanNode); ok {
+		start := time.Now()
+		rs, visited, err := s.scanTable(scan.Table, scan.Alias, n.Cond, outer)
+		if a := s.analyze; a != nil && err == nil {
+			a.note(scan, visited, time.Since(start))
 		}
+		return rs, err
 	}
 	src, err := s.runSource(n.Input, outer)
 	if err != nil {

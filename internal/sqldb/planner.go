@@ -111,12 +111,11 @@ func (s *Session) planSelect(st *SelectStmt) *SelectPlan {
 	return plan
 }
 
-// markParallelScans flags the plan's remaining sequential scans for the
-// morsel-driven batched path when the table clears the engine's row-count
-// threshold. Sessions that disabled parallelism plan purely sequential
-// trees (and are excluded from the shared plan cache, like forceSeqScan).
+// markParallelScans records the engine's worker count on the plan's
+// remaining sequential scans whose table clears the row-count threshold, so
+// EXPLAIN shows the fan-out the scan will use.
 func (s *Session) markParallelScans(plan *SelectPlan) {
-	if s.forceSeqScan || s.noParallel || plan.Source == nil {
+	if plan.Source == nil {
 		return
 	}
 	workers, threshold, _ := s.engine.parallelism()

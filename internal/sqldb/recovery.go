@@ -410,13 +410,6 @@ func applyRecords(s *Session, recs []walRec) error {
 	return nil
 }
 
-// ErrCheckpointSkipped is retained for API compatibility: with MVCC
-// snapshots, Checkpoint serializes only committed-visible versions, so open
-// transactions no longer block it and this error is no longer returned.
-//
-// Deprecated: Checkpoint never returns ErrCheckpointSkipped anymore.
-var ErrCheckpointSkipped = errors.New("sqldb: checkpoint skipped: a transaction is open")
-
 // Checkpoint writes a snapshot of the latest committed state and retires
 // the WAL segments (and older snapshots) it supersedes. It is a no-op on
 // in-memory engines and when nothing has changed since the last
@@ -520,12 +513,6 @@ func (e *Engine) Close() error {
 		<-e.ckptDone
 	}
 	err := e.Checkpoint()
-	if errors.Is(err, ErrCheckpointSkipped) {
-		// An abandoned open transaction can't be committed now; its data was
-		// never acknowledged. Committed work is already on the WAL and will
-		// replay at the next open — skipping the final snapshot loses nothing.
-		err = nil
-	}
 
 	e.mu.Lock()
 	w := e.wal.Swap(nil)

@@ -133,6 +133,9 @@ func TestColumnGrantSQL(t *testing.T) {
 	if _, err := peeker.Exec(`SELECT price FROM items`); err == nil {
 		t.Fatal("column grant must exclude other columns")
 	}
+	if _, err := peeker.Exec(`SELECT CAST(price AS TEXT) FROM items`); err == nil {
+		t.Fatal("column grant must exclude other columns inside CAST")
+	}
 	if _, err := peeker.Exec(`SELECT * FROM items`); err == nil {
 		t.Fatal("star must be rejected under column grants")
 	}
