@@ -41,8 +41,11 @@ const (
 	nRefunds  = 60
 )
 
-// BuildEngine creates a fresh, fully populated benchmark database. Write
-// tasks mutate state, so experiments call this once per run.
+// BuildEngine creates the benchmark database for a seed by executing the
+// fixture's DDL and INSERT statements; it is the single definition of the
+// fixture's contents. Task runs reset the fixture with Suite.BuildEngine,
+// which loads a copy from an image of this engine instead of re-executing
+// the SQL.
 func BuildEngine(seed int64) *sqldb.Engine {
 	e := sqldb.NewEngine("bird_ext")
 	s := e.NewSession("root")

@@ -16,6 +16,11 @@ type Suite struct {
 	Tasks      []*task.Task
 	ReadTasks  []*task.Task
 	WriteTasks []*task.Task
+
+	// img is the pristine fixture for Seed in Engine.Image form, encoded
+	// on the first BuildEngine call.
+	imgOnce sync.Once
+	img     []byte
 }
 
 // The benchmark's size, matching the paper.
@@ -27,6 +32,10 @@ const (
 var (
 	suiteMu    sync.Mutex
 	suiteCache = map[int64]*Suite{}
+	// templates holds the seed-independent task definitions, built once
+	// under suiteMu and shared read-only by every suite: each suite's tasks
+	// are shallow copies that add only the per-seed VerifySQL and Expected.
+	templates []*task.Task
 )
 
 // GenerateSuite builds (and caches) the deterministic benchmark for a seed,
@@ -37,9 +46,15 @@ func GenerateSuite(seed int64) *Suite {
 	if s, ok := suiteCache[seed]; ok {
 		return s
 	}
-	s := &Suite{Seed: seed}
-	s.Tasks = buildTasks()
-	for _, t := range s.Tasks {
+	if templates == nil {
+		templates = buildTasks()
+	}
+	s := &Suite{Seed: seed, Tasks: make([]*task.Task, len(templates))}
+	copies := make([]task.Task, len(templates))
+	for i, tmpl := range templates {
+		copies[i] = *tmpl
+		t := &copies[i]
+		s.Tasks[i] = t
 		if t.Kind == task.Read {
 			s.ReadTasks = append(s.ReadTasks, t)
 		} else {
@@ -51,23 +66,38 @@ func GenerateSuite(seed int64) *Suite {
 	return s
 }
 
-// BuildEngine returns a fresh populated database for one task run.
-func (s *Suite) BuildEngine() *sqldb.Engine { return BuildEngine(s.Seed) }
+// BuildEngine returns a fresh populated database for one task run. The
+// first call builds the fixture with BuildEngine(s.Seed) and keeps its
+// image; every call loads a new engine from that image, so writes and
+// grants on one engine never reach another.
+func (s *Suite) BuildEngine() *sqldb.Engine {
+	s.imgOnce.Do(func() { s.img = BuildEngine(s.Seed).Image() })
+	return mustLoad(s.img)
+}
+
+func mustLoad(img []byte) *sqldb.Engine {
+	e, err := sqldb.LoadImage("bird_ext", img)
+	if err != nil {
+		panic(fmt.Sprintf("birdext: load fixture image: %v", err))
+	}
+	return e
+}
 
 // computeExpectations executes every task's gold SQL against a pristine
-// database and records the verification baseline.
+// database and records the verification baseline. Write tasks each run on
+// an engine loaded from the pristine engine's image; the image is not kept.
 func computeExpectations(s *Suite) {
-	// Read tasks never mutate: share one engine.
-	readEngine := BuildEngine(s.Seed)
-	readSess := readEngine.NewSession("root")
+	pristine := BuildEngine(s.Seed)
+	img := pristine.Image()
+	// Read tasks never mutate: share the pristine engine.
+	readSess := pristine.NewSession("root")
 	for _, t := range s.ReadTasks {
 		r := readSess.MustExec(t.GoldSQL[0])
 		t.VerifySQL = t.GoldSQL[0]
 		t.Expected = r.Text()
 	}
 	for _, t := range s.WriteTasks {
-		e := BuildEngine(s.Seed)
-		sess := e.NewSession("root")
+		sess := mustLoad(img).NewSession("root")
 		for _, q := range t.GoldSQL {
 			sess.MustExec(q)
 		}

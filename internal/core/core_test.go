@@ -194,6 +194,29 @@ func TestObjectLevelVerification(t *testing.T) {
 	}
 }
 
+// A subquery can read a table from any clause; the toolkit must check the
+// tables it reads before the statement reaches the engine, or a user
+// granted only on items could copy secrets into items.
+func TestVerificationCoversSubqueriesInEveryClause(t *testing.T) {
+	e := newStoreEngine(t)
+	e.Grants().GrantAll("clerk", "items")
+	tk := New(NewSQLDBConn(e, "clerk"), Policy{})
+	for tool, sql := range map[string]string{
+		"update": "UPDATE items SET name = (SELECT payload FROM secrets WHERE id = 1) WHERE id = 1",
+		"insert": "INSERT INTO items VALUES (4, (SELECT payload FROM secrets WHERE id = 1), 'x', 1.0)",
+		"select": "SELECT name FROM items ORDER BY (SELECT payload FROM secrets WHERE id = 1)",
+	} {
+		res := call(t, tk, tool, map[string]any{"sql": sql})
+		if !res.IsErr || !strings.Contains(res.Text, "verified before execution") || !strings.Contains(res.Text, `"secrets"`) {
+			t.Fatalf("%s: verification must refuse the subquery on secrets, got %q", tool, res.Text)
+		}
+	}
+	r := e.NewSession("root").MustExec("SELECT COUNT(*) FROM items WHERE name = 'classified' OR id = 4")
+	if r.Rows[0][0].I != 0 {
+		t.Fatalf("a refused statement changed items:\n%s", r.Text())
+	}
+}
+
 func TestVerificationDisabledFallsThroughToEngine(t *testing.T) {
 	e := newStoreEngine(t)
 	e.Grants().Grant("reader", sqldb.ActionSelect, "items")

@@ -220,7 +220,9 @@ func (*RevokeStmt) StmtAction() Action      { return ActionGrant }
 
 // ReferencedTables returns every table name a statement touches, for
 // object-level privilege verification (paper §2.3, object-level tool
-// verification).
+// verification). Subqueries count wherever an expression may appear, so a
+// table read by a subquery in any clause needs its own privilege check. For
+// DML the target table comes first.
 func ReferencedTables(s Stmt) []string {
 	seen := map[string]bool{}
 	var out []string
@@ -231,33 +233,49 @@ func ReferencedTables(s Stmt) []string {
 			out = append(out, name)
 		}
 	}
+	addSubqueries := func(exprs ...Expr) {
+		for _, e := range exprs {
+			walkExpr(e, func(x Expr) {
+				if sq, ok := x.(*SubqueryExpr); ok {
+					for _, t := range ReferencedTables(sq.Query) {
+						add(t)
+					}
+				}
+			})
+		}
+	}
 	switch st := s.(type) {
 	case *SelectStmt:
 		for _, tr := range st.From {
 			add(tr.Table)
 		}
-		// Subqueries in expressions.
-		exprs := []Expr{st.Where, st.Having}
+		for _, tr := range st.From {
+			addSubqueries(tr.On)
+		}
 		for _, it := range st.Items {
-			exprs = append(exprs, it.Expr)
+			addSubqueries(it.Expr)
 		}
-		for _, e := range exprs {
-			for _, t := range subqueryTables(e) {
-				add(t)
-			}
+		addSubqueries(st.Where)
+		addSubqueries(st.GroupBy...)
+		addSubqueries(st.Having)
+		for _, k := range st.OrderBy {
+			addSubqueries(k.Expr)
 		}
+		addSubqueries(st.Limit, st.Offset)
 	case *InsertStmt:
 		add(st.Table)
+		for _, row := range st.Rows {
+			addSubqueries(row...)
+		}
 	case *UpdateStmt:
 		add(st.Table)
-		for _, t := range subqueryTables(st.Where) {
-			add(t)
+		for _, set := range st.Set {
+			addSubqueries(set.Expr)
 		}
+		addSubqueries(st.Where)
 	case *DeleteStmt:
 		add(st.Table)
-		for _, t := range subqueryTables(st.Where) {
-			add(t)
-		}
+		addSubqueries(st.Where)
 	case *CreateTableStmt:
 		add(st.Table)
 	case *DropTableStmt:
@@ -282,19 +300,6 @@ func ReferencedTables(s Stmt) []string {
 			add(t)
 		}
 	}
-	return out
-}
-
-func subqueryTables(e Expr) []string {
-	if e == nil {
-		return nil
-	}
-	var out []string
-	walkExpr(e, func(x Expr) {
-		if sq, ok := x.(*SubqueryExpr); ok {
-			out = append(out, ReferencedTables(sq.Query)...)
-		}
-	})
 	return out
 }
 

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -291,11 +292,12 @@ func (ix *Index) remove(v Value, id int64) {
 }
 
 func (t *Table) pkKey(vals []Value) string {
-	var sb strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for _, i := range t.pkCols {
-		writeKeySegment(&sb, vals[i])
+		b = appendKeySegment(b, vals[i])
 	}
-	return sb.String()
+	return string(b)
 }
 
 // --- version-chain mutation primitives ---
@@ -440,11 +442,17 @@ func (t *Table) rebuildPK() {
 	if single {
 		ord = make([]Value, 0, len(t.rows))
 	}
+	// A key's first id comes from one shared block, capped so that a second
+	// id appended to the bucket reallocates instead of overwriting the next.
+	block := make([]int64, 0, len(t.rows))
 	for _, e := range t.rows {
 		for v := e.v; v != nil; v = v.prev {
 			k := t.pkKey(v.vals)
-			ids, added := addID(t.pkMap[k], e.id)
-			if !added {
+			ids, added := t.pkMap[k], true
+			if ids == nil {
+				block = append(block, e.id)
+				ids = block[len(block)-1 : len(block) : len(block)]
+			} else if ids, added = addID(ids, e.id); !added {
 				continue
 			}
 			t.pkMap[k] = ids
@@ -454,7 +462,7 @@ func (t *Table) rebuildPK() {
 		}
 	}
 	if single {
-		sort.Slice(ord, func(i, j int) bool { return orderCompare(ord[i], ord[j]) < 0 })
+		slices.SortFunc(ord, orderCompare)
 		t.pkOrd = ord
 	}
 }

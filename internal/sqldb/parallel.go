@@ -3,7 +3,6 @@ package sqldb
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -408,16 +407,6 @@ func filterRows[T any](s *Session, envCols []envCol, in []T, row func(T) ([]Valu
 		out = append(out, parts[i].out...)
 	}
 	return out, visited, nil
-}
-
-// appendKeySegment appends one value to a composite hash key using the same
-// length-prefixed encoding as writeKeySegment, but into a reusable byte
-// buffer so morsels do not allocate a strings.Builder per row.
-func appendKeySegment(buf []byte, v Value) []byte {
-	k := v.Key()
-	buf = strconv.AppendInt(buf, int64(len(k)), 10)
-	buf = append(buf, ':')
-	return append(buf, k...)
 }
 
 // groupKeys evaluates the bound GROUP BY expressions over every row in

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"slices"
+	"strings"
 
 	"bridgescope/internal/sqldb/vfs"
 )
@@ -44,6 +47,33 @@ func encodeSnapshot(e *Engine, walSeg uint64) []byte {
 	}
 
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// Image encodes the engine's committed state — grants, tables with their
+// rows and index definitions, and views — in the snapshot format.
+// Uncommitted transactions contribute nothing. LoadImage turns the bytes
+// back into an independent engine, so one image can reset a fixture many
+// times without re-executing the SQL that built it.
+func (e *Engine) Image() []byte {
+	// Same lock order as Checkpoint: quiesce writers through the lock
+	// manager, then share Engine.mu with readers while encoding.
+	unlock := e.locks.lockAll()
+	defer unlock()
+	e.mu.RLock()
+	img := encodeSnapshot(e, 0)
+	e.mu.RUnlock()
+	return img
+}
+
+// LoadImage returns a new in-memory engine holding the state encoded by
+// Image. The engine starts with an empty plan cache and fresh statistics,
+// and has no WAL; nothing it does reaches the engine the image came from.
+func LoadImage(name string, img []byte) (*Engine, error) {
+	e := NewEngine(name)
+	if _, err := loadSnapshot(e, img); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 func appendTableSnap(b []byte, t *Table) []byte {
@@ -90,8 +120,12 @@ func appendTableSnap(b []byte, t *Table) []byte {
 		}
 	}
 
-	b = binary.AppendUvarint(b, uint64(len(t.indexes)))
-	for _, ix := range t.indexes {
+	// Indexes in column order, so the same state always encodes to the
+	// same bytes.
+	cols := slices.Sorted(maps.Keys(t.indexes))
+	b = binary.AppendUvarint(b, uint64(len(cols)))
+	for _, col := range cols {
+		ix := t.indexes[col]
 		b = appendString(b, ix.Name)
 		b = appendString(b, ix.Column)
 		if ix.Unique {
@@ -130,6 +164,12 @@ func appendTableSnap(b []byte, t *Table) []byte {
 // returning the WAL segment replay should start from. Index and PK
 // structures are bulk-built after the rows are loaded (hash everything, one
 // sort over the distinct values) rather than maintained per row.
+//
+// The decoder accepts only the encoding encodeSnapshot writes — minimal
+// varints, 0/1 flags, grants in dump order, indexes in column order, no
+// trailing bytes — so an accepted image re-encodes to the same bytes. View
+// and column-default SQL are the exception: they are re-rendered from their
+// parsed form (FuzzLoadSnapshot).
 func loadSnapshot(e *Engine, data []byte) (walSeg uint64, err error) {
 	if len(data) < len(snapMagic)+4 {
 		return 0, fmt.Errorf("snapshot: file too short")
@@ -146,8 +186,12 @@ func loadSnapshot(e *Engine, data []byte) (walSeg uint64, err error) {
 	walSeg = r.uvarint()
 
 	nGrants := r.uvarint()
+	var grants []grantChange
 	for i := uint64(0); i < nGrants && r.err == nil; i++ {
-		_ = r.str() // reserved header
+		if hdr := r.str(); hdr != "" {
+			r.fail("snapshot: unsupported grant header %q", hdr)
+			break
+		}
 		if typ := r.byte(); typ != recGrant {
 			r.fail("snapshot: expected grant record, got type %d", typ)
 			break
@@ -155,7 +199,11 @@ func loadSnapshot(e *Engine, data []byte) (walSeg uint64, err error) {
 		ch := decodeGrantChange(r)
 		if r.err == nil {
 			e.grants.apply(ch)
+			grants = append(grants, ch)
 		}
+	}
+	if r.err == nil && !slices.EqualFunc(grants, e.grants.dump(), sameGrantChange) {
+		r.fail("snapshot: grants are not in canonical dump form")
 	}
 
 	nTables := r.uvarint()
@@ -184,15 +232,26 @@ func loadSnapshot(e *Engine, data []byte) (walSeg uint64, err error) {
 		}
 	}
 
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d trailing bytes after the views", len(r.b))
+	}
 	if r.err != nil {
 		return 0, fmt.Errorf("snapshot: %w", r.err)
 	}
 	return walSeg, nil
 }
 
+func sameGrantChange(a, b grantChange) bool {
+	return a.Op == b.Op && a.User == b.User && a.Action == b.Action &&
+		a.Object == b.Object && a.Super == b.Super && slices.Equal(a.Columns, b.Columns)
+}
+
 func loadTableSnap(e *Engine, r *walReader) error {
 	name := r.str()
 	epoch := r.uvarint()
+	if r.err == nil && epoch == 0 {
+		r.fail("snapshot: table %q has epoch 0", name)
+	}
 
 	nCols := r.uvarint()
 	if nCols > uint64(len(r.b)) {
@@ -203,6 +262,9 @@ func loadTableSnap(e *Engine, r *walReader) error {
 	for i := uint64(0); i < nCols; i++ {
 		c := Column{Name: r.str(), Type: Kind(r.byte())}
 		flags := r.byte()
+		if flags&^7 != 0 {
+			r.fail("snapshot: column %s.%s has unknown flags %#x", name, c.Name, flags)
+		}
 		c.NotNull = flags&1 != 0
 		c.PrimaryKey = flags&2 != 0
 		c.Unique = flags&4 != 0
@@ -259,12 +321,23 @@ func loadTableSnap(e *Engine, r *walReader) error {
 	}
 	idxs := make([]ixDef, 0, nIdx)
 	for i := uint64(0); i < nIdx; i++ {
-		idxs = append(idxs, ixDef{name: r.str(), col: r.str(), unique: r.byte() != 0})
+		ix := ixDef{name: r.str(), col: r.str(), unique: r.bool()}
+		if i > 0 && strings.ToLower(ix.col) <= strings.ToLower(idxs[i-1].col) {
+			r.fail("snapshot: indexes of %q out of column order", name)
+		}
+		idxs = append(idxs, ix)
 	}
 
 	nextID := r.varint()
 	nRows := r.uvarint()
 	if r.err != nil {
+		return r.err
+	}
+	// Every row costs at least one byte for its id and one per value (the
+	// kind byte), so a count beyond that is corrupt; the guard also bounds
+	// the block allocations below.
+	if nRows > uint64(len(r.b)) || nRows*(1+nCols) > uint64(len(r.b)) {
+		r.fail("snapshot: row count %d exceeds %d remaining bytes", nRows, len(r.b))
 		return r.err
 	}
 
@@ -274,12 +347,19 @@ func loadTableSnap(e *Engine, r *walReader) error {
 	}
 	// Load rows raw — no per-row index/PK hooks; everything secondary is
 	// bulk-built below (the ordered-index bulk build from the range-scan PR).
-	if nRows <= uint64(len(r.b)) { // each row costs ≥1 byte; pre-size safely
-		t.rows = make([]*rowEntry, 0, nRows)
-	}
-	for i := uint64(0); i < nRows; i++ {
+	// Entries, versions and values come from three per-table blocks rather
+	// than three allocations per row. Each row's vals is capped at its
+	// length, so an append (ALTER TABLE ADD COLUMN) reallocates instead of
+	// writing into the next row.
+	entries := make([]rowEntry, nRows)
+	versions := make([]rowVersion, nRows)
+	nc := len(cols)
+	block := make([]Value, int(nRows)*nc)
+	t.rows = make([]*rowEntry, nRows)
+	t.byID = make(map[int64]*rowEntry, nRows)
+	for i := range entries {
 		id := r.varint()
-		vals := make([]Value, len(cols))
+		vals := block[i*nc : (i+1)*nc : (i+1)*nc]
 		for j := range vals {
 			vals[j] = r.value()
 		}
@@ -291,9 +371,10 @@ func loadTableSnap(e *Engine, r *walReader) error {
 		}
 		// Snapshot rows are committed-ancient: xmin 0 is visible to every
 		// snapshot the restarted engine will ever take.
-		entry := &rowEntry{id: id, v: &rowVersion{vals: vals}}
-		t.rows = append(t.rows, entry)
-		t.byID[id] = entry
+		versions[i].vals = vals
+		entries[i] = rowEntry{id: id, v: &versions[i]}
+		t.rows[i] = &entries[i]
+		t.byID[id] = &entries[i]
 	}
 	t.nextID = nextID
 	t.epoch = epoch // createTable keeps it and advances the engine counter
@@ -302,6 +383,9 @@ func loadTableSnap(e *Engine, r *walReader) error {
 			return fmt.Errorf("snapshot: index %q on missing column %q.%q", ix.name, name, ix.col)
 		}
 		t.addIndex(&Index{Name: ix.name, Column: ix.col, Unique: ix.unique})
+	}
+	if len(t.indexes) != len(idxs) { // a UNIQUE column's index is missing
+		return fmt.Errorf("snapshot: table %q lists %d indexes, has %d", name, len(idxs), len(t.indexes))
 	}
 	t.rebuildPK()
 	return e.createTable(t)

@@ -629,3 +629,36 @@ func TestFromlessSelect(t *testing.T) {
 		t.Fatalf("fromless select wrong: %v", r.Rows)
 	}
 }
+
+// TestValueKeyFormat pins the canonical hash keys that indexes, PK buckets
+// and GROUP BY maps share: integral floats key like ints, and composite
+// keys length-prefix every segment.
+func TestValueKeyFormat(t *testing.T) {
+	long := strings.Repeat("x", 40)
+	for _, c := range []struct {
+		v    Value
+		want string
+	}{
+		{Null(), "\x00N"},
+		{NewInt(-42), "\x01-42"},
+		{NewFloat(3), "\x013"},
+		{NewFloat(2.5), "\x022.5"},
+		{NewText("a:b"), "\x03a:b"},
+		{NewText(long), "\x03" + long},
+		{NewBool(true), "\x04t"},
+		{NewBool(false), "\x04f"},
+	} {
+		if got := c.v.Key(); got != c.want {
+			t.Errorf("Key(%v) = %q, want %q", c.v, got, c.want)
+		}
+	}
+	tab := &Table{pkCols: []int{0, 1}}
+	if got, want := tab.pkKey([]Value{NewText("a|b"), NewInt(7)}), "4:\x03a|b2:\x017"; got != want {
+		t.Errorf("pkKey = %q, want %q", got, want)
+	}
+	var sb strings.Builder
+	writeKeySegment(&sb, NewText(long))
+	if got, want := sb.String(), "41:\x03"+long; got != want {
+		t.Errorf("writeKeySegment = %q, want %q", got, want)
+	}
+}

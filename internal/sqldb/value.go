@@ -221,37 +221,50 @@ func Equal(a, b Value) bool {
 // GROUP BY maps. Numeric values that are integral share one key across
 // int/float so that index lookups match Compare semantics.
 func (v Value) Key() string {
-	switch v.Kind {
-	case KindNull:
-		return "\x00N"
-	case KindInt:
-		return "\x01" + strconv.FormatInt(v.I, 10)
-	case KindFloat:
-		if v.F == float64(int64(v.F)) {
-			return "\x01" + strconv.FormatInt(int64(v.F), 10)
-		}
-		return "\x02" + strconv.FormatFloat(v.F, 'g', -1, 64)
-	case KindText:
-		return "\x03" + v.S
-	case KindBool:
-		if v.B {
-			return "\x04t"
-		}
-		return "\x04f"
-	}
-	return "\x05?"
+	var buf [32]byte
+	return string(v.appendKey(buf[:0]))
 }
 
-// writeKeySegment appends v's canonical key to b, length-prefixed. Composite
-// hash keys (multi-column PKs, GROUP BY, DISTINCT) concatenate segments;
-// a bare separator would let payloads containing it collide across segment
-// boundaries — ("a", "b|c") vs ("a|b", "c") — so every segment carries its
-// own length instead.
+// appendKey appends v's canonical key (see Key) to b.
+func (v Value) appendKey(b []byte) []byte {
+	switch v.Kind {
+	case KindNull:
+		return append(b, "\x00N"...)
+	case KindInt:
+		return strconv.AppendInt(append(b, '\x01'), v.I, 10)
+	case KindFloat:
+		if v.F == float64(int64(v.F)) {
+			return strconv.AppendInt(append(b, '\x01'), int64(v.F), 10)
+		}
+		return strconv.AppendFloat(append(b, '\x02'), v.F, 'g', -1, 64)
+	case KindText:
+		return append(append(b, '\x03'), v.S...)
+	case KindBool:
+		if v.B {
+			return append(b, "\x04t"...)
+		}
+		return append(b, "\x04f"...)
+	}
+	return append(b, "\x05?"...)
+}
+
+// appendKeySegment appends v's canonical key to b, length-prefixed.
+// Composite hash keys (multi-column PKs, GROUP BY, DISTINCT) concatenate
+// segments; a bare separator would let payloads containing it collide
+// across segment boundaries — ("a", "b|c") vs ("a|b", "c") — so every
+// segment carries its own length instead.
+func appendKeySegment(b []byte, v Value) []byte {
+	var buf [32]byte
+	k := v.appendKey(buf[:0])
+	b = strconv.AppendInt(b, int64(len(k)), 10)
+	b = append(b, ':')
+	return append(b, k...)
+}
+
+// writeKeySegment writes appendKeySegment's bytes to a builder.
 func writeKeySegment(b *strings.Builder, v Value) {
-	k := v.Key()
-	b.WriteString(strconv.Itoa(len(k)))
-	b.WriteByte(':')
-	b.WriteString(k)
+	var buf [48]byte
+	b.Write(appendKeySegment(buf[:0], v))
 }
 
 // CoerceTo converts v to the column type t where a lossless conversion

@@ -237,7 +237,7 @@ func (r *walReader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[n-1] == 0 { // the encoder never pads with 0x80 0x00
 		r.fail("bad uvarint")
 		return 0
 	}
@@ -250,12 +250,24 @@ func (r *walReader) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
 		r.fail("bad varint")
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
+}
+
+// bool decodes a flag byte. Only 0 and 1 are valid, so every accepted
+// encoding is the one the encoder writes.
+func (r *walReader) bool() bool {
+	switch c := r.byte(); c {
+	case 0, 1:
+		return c == 1
+	default:
+		r.fail("bad bool byte %d", c)
+		return false
+	}
 }
 
 func (r *walReader) str() string {
@@ -293,7 +305,7 @@ func (r *walReader) value() Value {
 	case KindText:
 		return NewText(r.str())
 	case KindBool:
-		return NewBool(r.byte() != 0)
+		return NewBool(r.bool())
 	}
 	r.fail("unknown value kind %d", kind)
 	return Value{}
@@ -333,7 +345,7 @@ func decodeGrantChange(r *walReader) grantChange {
 	for i := uint64(0); i < n; i++ {
 		ch.Columns = append(ch.Columns, r.str())
 	}
-	ch.Super = r.byte() != 0
+	ch.Super = r.bool()
 	return ch
 }
 
