@@ -341,7 +341,7 @@ func printEngine() error {
 			w.MustExec(fmt.Sprintf("SELECT val FROM t WHERE id = %d", i%writeRows))
 		}
 	}))
-	hits, misses := eW.PlanCacheStats()
+	cache := eW.PlanCacheSnapshot()
 
 	plan, err := eIdx.NewSession("root").Plan(query)
 	if err != nil {
@@ -481,8 +481,8 @@ func printEngine() error {
 		TopKRowsVisited:       topkVisited,
 		UpdateByPKRowsVisited: pkVisited,
 		FullScanRowsVisited:   fullVisited,
-		PlanCacheHits:         hits,
-		PlanCacheMisses:       misses,
+		PlanCacheHits:         cache.Hits,
+		PlanCacheMisses:       cache.Misses,
 		GroupCommitSpeedup:    speedup,
 		GroupCommitBatchSize:  groupSize,
 		GroupCommitCommits:    batchStats.Commits,

@@ -16,14 +16,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"time"
 
 	"bridgescope/internal/sqldb"
-	"bridgescope/internal/sqldb/stats"
 )
 
 // Result is the database-agnostic execution result exchanged with tools.
@@ -70,43 +68,6 @@ type ObjectInfo struct {
 	Kind string // "table" (views would add "view")
 }
 
-// DurabilityStats is the backend-agnostic view of a connection's
-// persistence layer (write-ahead logging, group commit, checkpoints).
-type DurabilityStats struct {
-	Durable      bool   `json:"durable"`
-	Mode         string `json:"mode"` // "memory", "off", "batch", "always"
-	Commits      int64  `json:"commits"`
-	Fsyncs       int64  `json:"fsyncs"`
-	GroupFlushes int64  `json:"group_flushes"`
-	WALBytes     int64  `json:"wal_bytes"`
-	Checkpoints  int64  `json:"checkpoints"`
-}
-
-// CacheStats is the backend-agnostic view of a connection's
-// prepared-statement (plan) cache: executions served from a cached plan,
-// executions that had to parse and plan, LRU evictions, and the number of
-// plans currently resident.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Size      int   `json:"size"`
-}
-
-// HealthStatus is the backend-agnostic view of a connection's failure
-// state. A degraded backend serves reads but refuses writes with a
-// retryable error until the underlying fault is fixed and it is reopened.
-type HealthStatus struct {
-	Degraded          bool   `json:"degraded"`
-	DegradedBy        string `json:"degraded_by,omitempty"`         // subsystem that fail-stopped ("wal", "checkpoint")
-	DegradedErr       string `json:"degraded_err,omitempty"`        // the triggering I/O error
-	Reason            string `json:"reason,omitempty"`              // human-readable account of the degraded state
-	LastCheckpointErr string `json:"last_checkpoint_err,omitempty"` // most recent checkpoint failure, if any
-}
-
-// Healthy reports whether nothing is wrong.
-func (h HealthStatus) Healthy() bool { return !h.Degraded && h.LastCheckpointErr == "" }
-
 // Conn is the unified database interface all BridgeScope tools are built
 // on. One Conn represents one authenticated connection: it executes under a
 // fixed database user and owns that user's transaction state. Implementing
@@ -142,30 +103,6 @@ type Conn interface {
 	// executing it, one plan operator per line. It enforces the same
 	// privileges running the statement would.
 	Explain(sql string) (string, error)
-
-	// CacheStats reports the backend's prepared-statement cache counters.
-	// Backends without a statement cache report the zero value.
-	CacheStats() CacheStats
-
-	// Stats reports the backend's full observability snapshot: per-statement
-	// latency histograms, WAL and MVCC counters, the slow-query log, and so
-	// on. Backends without a metrics surface report the zero value.
-	Stats() stats.Snapshot
-
-	// Durability reports the backend's persistence counters: the sync mode
-	// and the WAL/checkpoint activity behind committed writes. Purely
-	// in-memory backends report Durable=false.
-	Durability() DurabilityStats
-
-	// Health reports whether the backend is fully operational or has
-	// fail-stopped into read-only degraded mode after a durability I/O
-	// failure (disk full, fsync error). Backends without a degraded state
-	// report the zero value (healthy).
-	Health() HealthStatus
-
-	// IsPermissionDenied reports whether an error returned by Exec is a
-	// database-side privilege rejection.
-	IsPermissionDenied(err error) bool
 
 	// IsSerializationFailure reports whether an error returned by Exec is a
 	// retryable write-write conflict under the backend's snapshot
@@ -462,59 +399,10 @@ func (c *SQLDBConn) Explain(sql string) (string, error) {
 	return plan.Explain(), nil
 }
 
-// CacheStats implements Conn. The counters are engine-wide: the plan cache
-// is shared by every connection to the engine (entries are keyed per user),
-// which is what makes hot agent/proxy traffic skip parse+plan across
-// sessions.
-func (c *SQLDBConn) CacheStats() CacheStats {
-	cs := c.sess.Engine().PlanCacheSnapshot()
-	return CacheStats{Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions, Size: cs.Size}
-}
-
-// Stats implements Conn with the engine-wide snapshot: metrics aggregate
-// across every connection to the engine.
-func (c *SQLDBConn) Stats() stats.Snapshot {
-	return c.sess.Engine().Stats()
-}
-
 // NoteRetry implements RetryNoter: RunInTransaction's backoff loop reports
 // each serialization-failure retry into the engine's MVCC counters.
 func (c *SQLDBConn) NoteRetry() {
 	c.sess.Engine().NoteTxnRetry()
-}
-
-// Durability implements Conn. Like CacheStats, the counters are engine-wide:
-// the WAL is shared by every connection to the engine.
-func (c *SQLDBConn) Durability() DurabilityStats {
-	st := c.sess.Engine().Durability()
-	return DurabilityStats{
-		Durable:      st.Durable,
-		Mode:         st.Mode,
-		Commits:      st.Commits,
-		Fsyncs:       st.Fsyncs,
-		GroupFlushes: st.GroupFlushes,
-		WALBytes:     st.WALBytes,
-		Checkpoints:  st.Checkpoints,
-	}
-}
-
-// Health implements Conn. The state is engine-wide: one fail-stopped WAL
-// degrades every connection to the engine.
-func (c *SQLDBConn) Health() HealthStatus {
-	h := c.sess.Engine().Health()
-	return HealthStatus{
-		Degraded:          h.Degraded,
-		DegradedBy:        h.DegradedBy,
-		DegradedErr:       h.DegradedErr,
-		Reason:            h.Reason,
-		LastCheckpointErr: h.LastCheckpointErr,
-	}
-}
-
-// IsPermissionDenied implements Conn.
-func (c *SQLDBConn) IsPermissionDenied(err error) bool {
-	var pe *sqldb.PermissionError
-	return errors.As(err, &pe)
 }
 
 // IsSerializationFailure implements Conn.

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"bridgescope/internal/sqldb/stats"
 )
 
 // backoffConn is a minimal fake Conn whose transactions fail with a
@@ -49,11 +47,6 @@ func (c *backoffConn) ClassifySQL(string) (string, []string, error) {
 	return "", nil, nil
 }
 func (c *backoffConn) Explain(string) (string, error) { return "", nil }
-func (c *backoffConn) CacheStats() CacheStats         { return CacheStats{} }
-func (c *backoffConn) Stats() stats.Snapshot          { return stats.Snapshot{} }
-func (c *backoffConn) Durability() DurabilityStats    { return DurabilityStats{} }
-func (c *backoffConn) Health() HealthStatus           { return HealthStatus{} }
-func (c *backoffConn) IsPermissionDenied(error) bool  { return false }
 func (c *backoffConn) IsSerializationFailure(err error) bool {
 	return errors.Is(err, errFakeSerialization)
 }

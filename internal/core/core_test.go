@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -217,6 +218,30 @@ func TestVerificationCoversSubqueriesInEveryClause(t *testing.T) {
 	}
 }
 
+// A subquery that reads the statement's own table is still a read: a user
+// granted only INSERT and UPDATE on items must not copy items' values
+// through one.
+func TestVerificationRequiresSelectForSelfReadSubquery(t *testing.T) {
+	e := newStoreEngine(t)
+	e.Grants().Grant("appender", sqldb.ActionInsert, "items")
+	e.Grants().Grant("appender", sqldb.ActionUpdate, "items")
+	tk := New(NewSQLDBConn(e, "appender"), Policy{})
+	root := e.NewSession("root")
+	before := root.MustExec("SELECT * FROM items ORDER BY id").Text()
+	for tool, sql := range map[string]string{
+		"insert": "INSERT INTO items VALUES ((SELECT MAX(id) FROM items) + 1, (SELECT name FROM items WHERE id = 1), 'x', 1.0)",
+		"update": "UPDATE items SET name = (SELECT name FROM items WHERE id = 2) WHERE id = 1",
+	} {
+		res := call(t, tk, tool, map[string]any{"sql": sql})
+		if !res.IsErr || !strings.Contains(res.Text, `lacks SELECT on "items" (verified before execution)`) {
+			t.Fatalf("%s: verification must demand SELECT on items, got %q", tool, res.Text)
+		}
+	}
+	if after := root.MustExec("SELECT * FROM items ORDER BY id").Text(); after != before {
+		t.Fatalf("a refused statement changed items:\n%s", after)
+	}
+}
+
 func TestVerificationDisabledFallsThroughToEngine(t *testing.T) {
 	e := newStoreEngine(t)
 	e.Grants().Grant("reader", sqldb.ActionSelect, "items")
@@ -290,10 +315,10 @@ func TestConnExplain(t *testing.T) {
 	}
 
 	// Explain enforces the statement's privileges like execution would.
-	if _, err := conn.Explain("SELECT * FROM secrets"); err == nil {
-		t.Fatal("Explain must enforce SELECT privilege")
-	} else if !conn.IsPermissionDenied(err) {
-		t.Fatalf("want permission error, got %v", err)
+	_, err = conn.Explain("SELECT * FROM secrets")
+	var pe *sqldb.PermissionError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Explain must enforce SELECT privilege, got %v", err)
 	}
 
 	// An EXPLAIN prefix in the SQL itself is accepted (not double-wrapped).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"bridgescope/internal/sqldb"
 )
@@ -53,6 +54,60 @@ func TestRunInTransactionRetries(t *testing.T) {
 	}
 	if got := res.Rows[0][0].(int64); got != workers*rounds {
 		t.Fatalf("lost updates: counter = %d, want %d", got, workers*rounds)
+	}
+}
+
+// TestRunInTransactionCountsRetries: on a real connection every retry the
+// backoff loop takes reaches the engine's MVCC retry counter exactly once,
+// both when the transaction finally commits and when the retries run out
+// (no retry follows the final failed attempt).
+func TestRunInTransactionCountsRetries(t *testing.T) {
+	e := retryEngine(t)
+	noSleep := RetryBackoff{Sleep: func(time.Duration) {}}
+	// blocker holds an uncommitted write on the row, so every attempt to
+	// update it fails with a write-write conflict until blocker rolls back.
+	blocker := NewSQLDBConn(e, "root")
+	if err := blocker.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := blocker.Exec("UPDATE counter SET n = 100 WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	increment := func(c Conn) error {
+		_, err := c.Exec("UPDATE counter SET n = n + 1 WHERE id = 1")
+		return err
+	}
+	conn := NewSQLDBConn(e, "root")
+
+	before := e.Stats().MVCC.Retries
+	err := RunInTransactionBackoff(conn, 2, noSleep, increment)
+	if !conn.IsSerializationFailure(err) {
+		t.Fatalf("want the conflict after exhausting retries, got %v", err)
+	}
+	if got := e.Stats().MVCC.Retries - before; got != 2 {
+		t.Fatalf("exhausted run counted %d retries, want 2", got)
+	}
+
+	const conflicts = 3
+	attempts := 0
+	before = e.Stats().MVCC.Retries
+	err = RunInTransactionBackoff(conn, 5, noSleep, func(c Conn) error {
+		attempts++
+		if attempts == conflicts+1 {
+			if err := blocker.Rollback(); err != nil {
+				return err
+			}
+		}
+		return increment(c)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attempts != conflicts+1 {
+		t.Fatalf("ran fn %d times, want %d", attempts, conflicts+1)
+	}
+	if got := e.Stats().MVCC.Retries - before; got != conflicts {
+		t.Fatalf("engine counted %d retries, want %d", got, conflicts)
 	}
 }
 

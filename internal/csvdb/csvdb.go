@@ -20,7 +20,6 @@ import (
 
 	"bridgescope/internal/core"
 	"bridgescope/internal/sqldb"
-	"bridgescope/internal/sqldb/stats"
 	"bridgescope/internal/sqldb/vfs"
 )
 
@@ -102,12 +101,6 @@ func loadDir(engine *sqldb.Engine, fsys vfs.FS, dir string) error {
 // for purely in-memory stores.
 func (s *Store) Close() error { return s.engine.Close() }
 
-// Durability reports the store's persistence counters through the same
-// backend-agnostic surface as every Conn.
-func (s *Store) Durability() core.DurabilityStats {
-	return s.Conn("root").Durability()
-}
-
 // Engine exposes the underlying engine (e.g. to configure grants).
 func (s *Store) Engine() *sqldb.Engine { return s.engine }
 
@@ -125,13 +118,6 @@ func (s *Store) Conn(user string) core.Conn {
 // plan metadata flows through the same Conn interface on every backend.
 func (s *Store) Explain(user, sql string) (string, error) {
 	return s.Conn(user).Explain(sql)
-}
-
-// CacheStats reports the store's prepared-statement cache counters. CSV
-// stores get the engine's plan cache for free: repeated queries against
-// loaded files skip parse+plan exactly like native tables.
-func (s *Store) CacheStats() stats.CacheStats {
-	return s.engine.PlanCacheSnapshot()
 }
 
 // TableName derives the table name from a CSV file name.

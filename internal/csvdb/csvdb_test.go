@@ -238,7 +238,7 @@ func TestOpenDurable(t *testing.T) {
 	if _, err := conn.Exec("INSERT INTO orders VALUES (4, 'hat', 1, 12.0)"); err != nil {
 		t.Fatal(err)
 	}
-	if st := store.Durability(); !st.Durable || st.Commits == 0 {
+	if st := store.Engine().Durability(); !st.Durable || st.Commits == 0 {
 		t.Fatalf("durable store reports %+v", st)
 	}
 	if err := store.Close(); err != nil {
@@ -265,13 +265,13 @@ func TestOpenDurable(t *testing.T) {
 		t.Fatalf("recovered table was re-seeded from CSV: %+v", cnt.Rows)
 	}
 
-	// In-memory stores expose the same surface, reporting not-durable.
+	// In-memory stores report not-durable.
 	mem, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	if st := mem.Durability(); st.Durable || st.Mode != "memory" {
+	if st := mem.Engine().Durability(); st.Durable || st.Mode != "memory" {
 		t.Fatalf("in-memory store reports %+v", st)
 	}
 }
@@ -291,7 +291,7 @@ func TestDurableSeedIsAtomic(t *testing.T) {
 	defer store.Close()
 	// Two fixture CSVs, one commit each; a split CREATE + INSERT would
 	// double the count.
-	if st := store.Durability(); st.Commits != 2 {
+	if st := store.Engine().Durability(); st.Commits != 2 {
 		t.Fatalf("seeding two CSVs took %d commits, want 2 (one transaction per file)", st.Commits)
 	}
 }

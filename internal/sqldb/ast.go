@@ -222,7 +222,9 @@ func (*RevokeStmt) StmtAction() Action      { return ActionGrant }
 // object-level privilege verification (paper §2.3, object-level tool
 // verification). Subqueries count wherever an expression may appear, so a
 // table read by a subquery in any clause needs its own privilege check. For
-// DML the target table comes first.
+// DML the target table comes first and every later entry is a table the
+// statement reads; a subquery that reads the target lists it a second time,
+// because that read needs SELECT on top of the statement's own action.
 func ReferencedTables(s Stmt) []string {
 	seen := map[string]bool{}
 	var out []string
@@ -263,18 +265,18 @@ func ReferencedTables(s Stmt) []string {
 		}
 		addSubqueries(st.Limit, st.Offset)
 	case *InsertStmt:
-		add(st.Table)
+		out = append(out, st.Table)
 		for _, row := range st.Rows {
 			addSubqueries(row...)
 		}
 	case *UpdateStmt:
-		add(st.Table)
+		out = append(out, st.Table)
 		for _, set := range st.Set {
 			addSubqueries(set.Expr)
 		}
 		addSubqueries(st.Where)
 	case *DeleteStmt:
-		add(st.Table)
+		out = append(out, st.Table)
 		addSubqueries(st.Where)
 	case *CreateTableStmt:
 		add(st.Table)
@@ -296,9 +298,7 @@ func ReferencedTables(s Stmt) []string {
 	case *DropViewStmt:
 		add(st.Name)
 	case *ExplainStmt:
-		for _, t := range ReferencedTables(st.Stmt) {
-			add(t)
-		}
+		return ReferencedTables(st.Stmt)
 	}
 	return out
 }

@@ -314,13 +314,13 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 	e, s := benchEngine(b, 5000, true)
 	const q = "SELECT name FROM t WHERE grp = 7 ORDER BY val DESC LIMIT 5"
 	s.MustExec(q) // warm the cache
-	h0, _ := e.PlanCacheStats()
+	h0 := e.PlanCacheSnapshot().Hits
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.MustExec(q)
 	}
 	b.StopTimer()
-	if h1, _ := e.PlanCacheStats(); h1-h0 != int64(b.N) {
+	if h1 := e.PlanCacheSnapshot().Hits; h1-h0 != int64(b.N) {
 		b.Fatalf("want %d cache hits, got %d", b.N, h1-h0)
 	}
 }

@@ -815,10 +815,6 @@ func (e *Engine) bumpCatalog() { e.catalogVersion.Add(1) }
 // CatalogVersion returns the current catalog version counter.
 func (e *Engine) CatalogVersion() uint64 { return e.catalogVersion.Load() }
 
-// PlanCacheStats reports the engine's statement-cache counters: hits served
-// without re-parsing/planning, and misses (cold or invalidated lookups).
-func (e *Engine) PlanCacheStats() (hits, misses int64) { return e.plans.stats() }
-
 // PlanCacheSnapshot reports the full plan-cache counters, including LRU
 // evictions and the number of currently cached plans.
 func (e *Engine) PlanCacheSnapshot() stats.CacheStats { return e.plans.snapshot() }

@@ -48,11 +48,6 @@ func (e *Engine) degrade(op string, err error) {
 	}
 }
 
-// degraded returns the engine's degradation, or nil while healthy.
-func (e *Engine) degradedState() *DegradedError {
-	return e.degradedErr.Load()
-}
-
 // checkWritable is the write-path gate: every statement that would mutate
 // engine state calls it before doing any memory work, so a degraded engine
 // refuses writes cleanly instead of mutating the heap and then failing the
@@ -76,7 +71,7 @@ func (e *Engine) noteCkptErr(err error) {
 }
 
 // HealthStatus is the engine's durability health, surfaced through
-// core.Conn.Health and the sqlshell \wal and \checkpoint commands.
+// Engine.Health and the sqlshell \wal and \checkpoint commands.
 type HealthStatus struct {
 	// Degraded is true once a durability I/O failure parked the engine in
 	// read-only mode.
@@ -93,11 +88,6 @@ type HealthStatus struct {
 	// LastCheckpointErr is the most recent checkpoint failure ("" after a
 	// success): background checkpoints would otherwise fail invisibly.
 	LastCheckpointErr string
-}
-
-// Healthy reports whether the engine can still promise durability.
-func (h HealthStatus) Healthy() bool {
-	return !h.Degraded && h.LastCheckpointErr == ""
 }
 
 // Health reports the engine's durability health. In-memory engines are

@@ -441,14 +441,12 @@ func (s *Session) checkStmtPrivileges(stmt Stmt) error {
 		return nil
 	}
 	action := stmt.StmtAction()
-	for _, tbl := range ReferencedTables(stmt) {
-		// Reads embedded in writes (subqueries) need SELECT; the main table
-		// needs the statement action.
+	for i, tbl := range ReferencedTables(stmt) {
+		// The statement's own table comes first and needs the statement's
+		// action; every later entry is a table it reads and needs SELECT.
 		need := action
-		if _, ok := stmt.(*SelectStmt); !ok {
-			if !strings.EqualFold(tbl, mainTable(stmt)) {
-				need = ActionSelect
-			}
+		if i > 0 {
+			need = ActionSelect
 		}
 		if !g.Has(s.user, need, tbl) {
 			return &PermissionError{User: s.user, Action: need, Object: tbl}

@@ -38,20 +38,6 @@ type envCol struct {
 	name  string // lower-case column name
 }
 
-// NewEnv builds an environment from parallel column/value slices. Column
-// names may be qualified ("alias.col") or bare.
-func NewEnv(cols []string, vals []Value) *Env {
-	env := &Env{vals: vals}
-	for _, c := range cols {
-		tbl, name := "", strings.ToLower(c)
-		if i := strings.IndexByte(name, '.'); i >= 0 {
-			tbl, name = name[:i], name[i+1:]
-		}
-		env.cols = append(env.cols, envCol{table: tbl, name: name})
-	}
-	return env
-}
-
 // Lookup resolves a column reference, returning an error for unknown or
 // ambiguous names.
 func (e *Env) Lookup(table, name string) (Value, error) {

@@ -658,9 +658,6 @@ type Plan struct {
 	header string // extra first line for DML plans ("Insert on t ...")
 }
 
-// Root returns the top plan node.
-func (p *Plan) Root() PlanNode { return p.root }
-
 // Select returns the SELECT pipeline plan, or nil for non-SELECT statements.
 func (p *Plan) Select() *SelectPlan { return p.sel }
 

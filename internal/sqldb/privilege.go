@@ -181,13 +181,6 @@ func (g *Grants) Revoke(user string, action Action, object string) {
 	g.log(grantChange{Op: grantOpRevoke, User: user, Action: action, Object: object})
 }
 
-// RevokeAll removes every action on an object from a user.
-func (g *Grants) RevokeAll(user, object string) {
-	for _, a := range AllActions {
-		g.Revoke(user, a, object)
-	}
-}
-
 // GrantColumns grants an action on an object restricted to the given
 // columns (PostgreSQL column privileges).
 func (g *Grants) GrantColumns(user string, action Action, object string, columns []string) {
@@ -338,18 +331,4 @@ func (g *Grants) apply(ch grantChange) {
 	case grantOpGrantCols:
 		g.GrantColumns(ch.User, ch.Action, ch.Object, ch.Columns)
 	}
-}
-
-// ActionStrings formats a list of actions, or "ALL" when the list covers
-// every grantable action.
-func ActionStrings(actions []Action) string {
-	if len(actions) == len(AllActions) {
-		return "ALL"
-	}
-	parts := make([]string, len(actions))
-	for i, a := range actions {
-		parts[i] = a.String()
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ", ")
 }

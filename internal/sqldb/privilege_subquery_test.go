@@ -90,3 +90,47 @@ func TestSubqueryPrivilegeGrantedRuns(t *testing.T) {
 		})
 	}
 }
+
+// selfReadSlots read the statement's own target table from a subquery.
+var selfReadSlots = []struct {
+	slot, sql string
+	action    Action
+}{
+	{"insert values", `INSERT INTO pub VALUES ((SELECT MAX(id) FROM pub) + 1, (SELECT v FROM pub WHERE id = 1))`, ActionInsert},
+	{"update set", `UPDATE pub SET v = (SELECT v FROM pub WHERE id = 2) WHERE id = 1`, ActionUpdate},
+	{"update where", `UPDATE pub SET v = 'x' WHERE id IN (SELECT id FROM pub WHERE v = 'a')`, ActionUpdate},
+	{"delete where", `DELETE FROM pub WHERE id IN (SELECT id FROM pub WHERE v = 'a')`, ActionDelete},
+}
+
+// TestSelfReadSubqueryNeedsSelect: a subquery that reads the target table
+// is a read like any other. ReferencedTables lists the target twice, and a
+// user holding only the statement's action on pub is refused SELECT on pub
+// before anything executes; granting SELECT lets the statement run.
+func TestSelfReadSubqueryNeedsSelect(t *testing.T) {
+	for _, c := range selfReadSlots {
+		t.Run(c.slot, func(t *testing.T) {
+			stmt, err := Parse(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ReferencedTables(stmt); !slices.Equal(got, []string{"pub", "pub"}) {
+				t.Fatalf("ReferencedTables(%q) = %v, want [pub pub]", c.sql, got)
+			}
+			e, root := newSubqueryPrivEngine(t)
+			e.Grants().Grant("writer", c.action, "pub")
+			before := root.MustExec(`SELECT id, v FROM pub ORDER BY id`).Text()
+			_, err = e.NewSession("writer").Exec(c.sql)
+			var pe *PermissionError
+			if !errors.As(err, &pe) || pe.Object != "pub" || pe.Action != ActionSelect {
+				t.Fatalf("%s: want SELECT on pub denied, got %v", c.sql, err)
+			}
+			if after := root.MustExec(`SELECT id, v FROM pub ORDER BY id`).Text(); after != before {
+				t.Fatalf("pub changed by a refused statement:\n%s", after)
+			}
+			e.Grants().Grant("writer", ActionSelect, "pub")
+			if _, err := e.NewSession("writer").Exec(c.sql); err != nil {
+				t.Fatalf("%s: with SELECT granted: %v", c.sql, err)
+			}
+		})
+	}
+}

@@ -1,6 +1,6 @@
 // Package stats provides the engine's observability primitives: lock-free
 // latency histograms, a ring-buffered slow-query log, and the snapshot
-// types the engine exposes over core.Conn, sqlshell, and HTTP.
+// types the engine exposes through Engine.Stats, sqlshell, and HTTP.
 //
 // The package deliberately has no dependency on the engine — the engine
 // imports stats, never the reverse — so the same types serve the SQL
